@@ -45,9 +45,12 @@ func runBoth(t *testing.T, name string, w *workload.Workload, cfg Config, maxIns
 }
 
 // TestEventSchedulerMatchesLegacy sweeps every Table 1 workload under the
-// slice-by-2 and slice-by-4 bit-sliced machines at 100k instructions.
-// Short mode trims the budget so the race-detector smoke job stays fast;
-// the full sweep still runs on every plain `go test`.
+// slice-by-2 and slice-by-4 bit-sliced machines and the simple-pipelined
+// slice-by-4 machine at 100k instructions. The last one turns partial
+// bypass and out-of-order slices off, the two config bits the wake
+// masks and chain gating branch on. Short mode trims the budget so the
+// race-detector smoke job stays fast; the full sweep still runs on
+// every plain `go test`.
 func TestEventSchedulerMatchesLegacy(t *testing.T) {
 	insts := uint64(100_000)
 	if testing.Short() {
@@ -55,12 +58,18 @@ func TestEventSchedulerMatchesLegacy(t *testing.T) {
 	}
 	for _, bench := range workload.Names() {
 		w := workload.MustGet(bench)
-		for _, slices := range []int{2, 4} {
-			cfg := BitSliced(slices)
-			name := fmt.Sprintf("%s/x%d", bench, slices)
+		for _, c := range []struct {
+			key string
+			cfg Config
+		}{
+			{"x2", BitSliced(2)},
+			{"x4", BitSliced(4)},
+			{"simple-x4", SimplePipelined(4)},
+		} {
+			name := bench + "/" + c.key
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				runBoth(t, name, w, cfg, insts)
+				runBoth(t, name, w, c.cfg, insts)
 			})
 		}
 	}

@@ -334,6 +334,14 @@ func (s *Sim) initEntry(e *entry) {
 		e.fullLat = 1
 	}
 	e.fullMask = uint8(1)<<e.nSlices - 1
+
+	// Slices that also wait on their own predecessor: a carry-in, or
+	// any upper slice when slices issue in order.
+	for sl := 1; sl < e.nSlices; sl++ {
+		if _, _, carry := op.InputSliceRange(sl, e.nSlices); carry || !s.cfg.OoOSlices {
+			e.chainMask |= 1 << sl
+		}
+	}
 }
 
 // sliceable reports whether the op's execution decomposes into slice-ops

@@ -20,7 +20,10 @@ import "fmt"
 //   - LSQ linkage: a window memory op's cached LSQ entry is the one the
 //     queue indexes under its sequence number, with sane KnownBits;
 //   - replay watchdog: a replayed slice-op whose ground-truth operand
-//     arrival is known must re-issue within ReplayBudget cycles of it.
+//     arrival is known must re-issue within ReplayBudget cycles of it;
+//   - exactly-once wakeup: under the event scheduler, an unstarted
+//     slice-op is queued only once all of its inputs are determined, and
+//     no later than its input count reaches zero.
 //
 // The checker returns an *InvariantError naming the violated rule, the
 // offending instruction and a pipeline dump; the run aborts at the first
@@ -122,6 +125,25 @@ func (s *Sim) checkInvariants() error {
 				return s.violation("replay-reissue", e.seq,
 					"slice %d replayed, retry-ready at cycle %d, still not re-issued %d cycles later",
 					sl, st.retryC, s.now-st.retryC)
+			}
+		}
+
+		// Exactly-once wakeup: under the event scheduler an unstarted
+		// slice-op holds a wheel or ready-set candidate only once every
+		// input it reads is determined (its speculative wake time is
+		// finite), and holds one as soon as its input count says so.
+		if !s.legacy {
+			for sl := 0; sl < e.nSlices; sl++ {
+				st := &e.slices[sl]
+				switch {
+				case st.started:
+				case st.queued:
+					if s.depsAvail(e, sl, true) >= inf {
+						return s.violation("wakeup", e.seq, "slice %d queued before its inputs are known", sl)
+					}
+				case e.unres[sl] == 0 && !e.chainBlocked(sl):
+					return s.violation("wakeup", e.seq, "slice %d has all inputs but was never queued", sl)
+				}
 			}
 		}
 

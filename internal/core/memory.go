@@ -16,8 +16,8 @@ import (
 // partial-tag load whose completion awaits the full address. Entries are
 // appended at dispatch (so the list stays in program order, preserving
 // cache-port arbitration order) and dropped as soon as their memory
-// obligations are met. Loads that establish a completion time fire a
-// producer event so dependent slice-ops enter the wakeup wheel.
+// obligations are met. A load that establishes its completion time fires
+// its producer event, so dependent slice-ops enter the wakeup wheel.
 func (s *Sim) memoryStage() {
 	// Compact in place, writing a pointer only when an entry has actually
 	// been dropped ahead of it: in the common cycle nothing retires from
@@ -37,15 +37,15 @@ func (s *Sim) memoryStage() {
 			if !e.memIssued && e.lsqInserted {
 				s.tryIssueLoad(e)
 				if e.memIssued {
-					// The load's (speculative and actual) completion
-					// times are now known: wake register dependents.
-					s.wakeConsumers(e)
+					// The load's announced completion time is now known:
+					// wake its register dependents.
+					s.wakeConsumers(e, 0)
 				}
 			}
+			// A deferred completion changes only the ground-truth time,
+			// which dependents read afresh at their issue-time verify.
 			if e.memIssued && e.memPendFull != pendNone {
-				if s.finalizePendingLoad(e) {
-					s.wakeConsumers(e)
-				}
+				s.finalizePendingLoad(e)
 			}
 			if !e.memIssued || e.memPendFull != pendNone {
 				done = false
@@ -108,12 +108,11 @@ func (s *Sim) checkStoreData(e *entry) bool {
 }
 
 // finalizePendingLoad resolves a partial-tag access whose outcome needed
-// the full address, once address generation completes. It reports
-// whether the completion time was established this cycle.
-func (s *Sim) finalizePendingLoad(e *entry) bool {
+// the full address, once address generation completes.
+func (s *Sim) finalizePendingLoad(e *entry) {
 	_, fullC := s.agenTimes(e)
 	if fullC >= inf {
-		return false
+		return
 	}
 	switch e.memPendFull {
 	case pendWayMispred:
@@ -122,7 +121,6 @@ func (s *Sim) finalizePendingLoad(e *entry) bool {
 		e.memActualDone = fullC + e.memPendLat
 	}
 	e.memPendFull = pendNone
-	return true
 }
 
 // tryIssueLoad attempts to send a load to the memory system this cycle.

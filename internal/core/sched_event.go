@@ -9,27 +9,39 @@ import (
 
 // Event-driven scheduler.
 //
-// Instead of rescanning the whole window every cycle, slice-op candidates
-// are pushed into a time-indexed wakeup wheel (a bucketed timing wheel
-// keyed on their computed depsAvail) when the event that completes their
-// dependence set occurs:
+// Instead of rescanning the whole window every cycle, each slice-op is
+// pushed into a time-indexed wakeup wheel (a bucketed timing wheel keyed
+// on its speculative depsAvail) exactly once per attempt, at the event
+// that determines the last of its inputs:
 //
 //   - dispatch seeds every slice whose inputs are already determined;
-//   - a producer's slice execution (or a load establishing its completion
-//     time) walks the producer's consumer list and enqueues dependents;
-//   - a slice execution enqueues the entry's own next slice (carry chains
-//     and in-order slice issue);
+//   - a producer event — one slice of the producer executing, or a load
+//     establishing its completion time — walks the producer's consumer
+//     list and, through the wake mask registered at dispatch, touches
+//     only the consumer slices that read that event. Each of them counts
+//     down its unresolved inputs (entry.unres) and is enqueued when the
+//     count reaches zero;
+//   - a slice that waits on its predecessor (a carry, or in-order slice
+//     issue: entry.chainMask) is enqueued by the predecessor's issue, or
+//     by a later producer event once the predecessor has issued;
 //   - a replay re-enqueues the slice-op at its retryC.
 //
-// Candidates whose speculative depsAvail is still unknown (inf — some
-// producer has not executed) are not enqueued at all; a later producer
-// event recomputes and enqueues them. Because every dependence input
-// transitions exactly once from "unknown" to a fixed time, a candidate's
-// wake time is exact when it becomes finite, so schedule() touches only
-// slice-ops that are genuinely ready this cycle (plus any left over from
-// resource contention). Ready candidates are issued in (seq, slice)
+// Every input of depsAvail transitions exactly once from "unknown" (inf)
+// to a fixed time, so the wake time evaluated when the last input
+// resolves is exact: the slice-op is pushed once, sits in the wheel or
+// the ready set (sliceState.queued) until it issues or replays, and is
+// never re-evaluated in between. Ready candidates issue in (seq, slice)
 // order, reproducing the select priority of the legacy window scan
 // cycle for cycle.
+
+// schedWork counts the event scheduler's work for tests. It stays off
+// Result, so Result, telemetry and every digest over them are unchanged.
+type schedWork struct {
+	evals  uint64 // speculative (announce) depsAvail evaluations
+	pushes uint64 // wakeup-wheel insertions
+	admits uint64 // candidates moved from the wheel into the ready set
+	issues uint64 // slice-ops issued (replays are counted in Result)
+}
 
 // cand is one wakeup-wheel candidate: slice sl of entry e becomes
 // schedulable at cycle wake. gen snapshots e.gen so candidates that
@@ -104,10 +116,11 @@ func (w *wakeWheel) bucketMin() int64 {
 }
 
 // pushWheel inserts a candidate into the wakeup wheel. Wakes in the past
-// (a replay whose operand arrived while the candidate was parked) are
-// clamped to base so they surface at the next drain, exactly when the
-// min-heap predecessor would have re-delivered them.
+// (a replay whose retry time is unknown or already passed) are clamped
+// to base so they surface at the next drain, exactly when the min-heap
+// predecessor would have re-delivered them.
 func (s *Sim) pushWheel(c cand) {
+	s.work.pushes++
 	w := &s.wh
 	t := c.wake
 	if t < w.base {
@@ -126,24 +139,19 @@ func (s *Sim) pushWheel(c cand) {
 	w.count++
 }
 
-// admit moves a drained candidate into the ready set unless it became
-// stale (squash recycling, a duplicate wakeup, or issue in the meantime).
+// admit moves a drained candidate into this cycle's admits unless its
+// entry was squashed (and possibly recycled) while it waited.
 func (s *Sim) admit(c cand) {
 	e := c.e
 	if c.gen != e.gen || e.committed || e.squashed {
 		return
 	}
-	st := &e.slices[c.sl]
-	if st.started || st.inReady {
-		return
-	}
-	st.inReady = true
-	s.ready = append(s.ready, c)
-	s.readyDirty = true
+	s.work.admits++
+	s.admits = append(s.admits, c)
 }
 
-// drainWheel moves every candidate due at or before s.now into the ready
-// set and advances base past the consumed cycles.
+// drainWheel moves every candidate due at or before s.now into this
+// cycle's admits and advances base past the consumed cycles.
 func (s *Sim) drainWheel() {
 	w := &s.wh
 	for w.count > 0 {
@@ -184,56 +192,60 @@ func (s *Sim) drainWheel() {
 	w.base = s.now + 1
 }
 
-// enqueueCand computes the speculative wakeup time of slice sl of e and
-// inserts it into the wheel. Candidates whose dependence set is not yet
-// determined (wake == inf) are parked: the producer event that completes
-// the set re-enqueues them.
+// enqueueCand evaluates the speculative wake time of slice sl of e,
+// whose inputs are all determined, and inserts it into the wheel.
 func (s *Sim) enqueueCand(e *entry, sl int) {
-	st := &e.slices[sl]
-	if st.started || st.inReady || e.committed || e.squashed {
-		return
-	}
-	w := s.depsAvailC(e, sl, true)
-	if w >= inf {
-		return
-	}
-	s.pushWheel(cand{e: e, wake: w, seq: e.seq, gen: e.gen, sl: int32(sl)})
+	e.slices[sl].queued = true
+	s.pushWheel(cand{e: e, wake: s.depsAvail(e, sl, true), seq: e.seq, gen: e.gen, sl: int32(sl)})
 }
 
-// wakeConsumers handles a producer event on p: every dependent entry's
-// memoized depsAvail is invalidated and its unstarted slice-ops are
-// (re-)enqueued now that one more input is determined.
-func (s *Sim) wakeConsumers(p *entry) {
+// chainBlocked reports whether slice sl of e still waits on its own
+// predecessor, whose issue will enqueue it.
+func (e *entry) chainBlocked(sl int) bool {
+	return e.chainMask&(1<<sl) != 0 && e.startedMask&(1<<(sl-1)) == 0
+}
+
+// wakeConsumers handles producer event j of p: slice j executing, or
+// (j = 0) a load's completion time becoming known. Only the consumer
+// slices whose wake mask names the event are touched; each resolves one
+// input and enters the wheel once none is left.
+func (s *Sim) wakeConsumers(p *entry, j int) {
 	for _, cr := range p.consumers {
+		m := cr.wake[j]
+		if m == 0 {
+			continue
+		}
 		c := cr.e
 		if c.gen != cr.gen || c.committed || c.squashed {
 			continue
 		}
-		c.invalidateDeps()
-		for sl := 0; sl < c.nSlices; sl++ {
-			if !c.slices[sl].started {
+		for ; m != 0; m &= m - 1 {
+			sl := bits.TrailingZeros8(m)
+			c.unres[sl]--
+			if c.unres[sl] == 0 && !c.chainBlocked(sl) {
 				s.enqueueCand(c, sl)
 			}
 		}
 	}
 }
 
-// schedule pops due candidates off the wheel into the ready set, then
-// issues them in program order under the same per-slice issue/FU limits
-// as the legacy scan. Resource-starved candidates stay ready for the
-// next cycle; replayed ones are re-enqueued at their retryC.
+// schedule pops due candidates off the wheel and merges them into the
+// age-ordered ready set, then issues it in program order under the same
+// per-slice issue/FU limits as the legacy scan. Resource-starved
+// candidates stay ready for the next cycle; replayed ones are
+// re-enqueued at their retryC.
 func (s *Sim) schedule() {
 	s.drainWheel()
-	if s.readyDirty {
-		sortReady(s.ready)
-		s.readyDirty = false
+	if len(s.admits) > 0 {
+		s.ready = mergeReady(s.ready, s.admits)
+		s.admits = s.admits[:0]
 	}
 	r := s.ready
 	n := 0
 	for i, c := range r {
 		e := c.e
-		if c.gen != e.gen || e.committed || e.squashed || e.slices[c.sl].started {
-			continue // squashed or satisfied since entering the ready set
+		if c.gen != e.gen || e.committed || e.squashed {
+			continue // squashed since entering the ready set
 		}
 		var consumed bool
 		if e.nSlices == 1 {
@@ -256,20 +268,76 @@ func (s *Sim) schedule() {
 	s.ready = r[:n]
 }
 
-// sortReady orders the ready set by (seq, slice) — the select priority of
-// the legacy window scan. An insertion sort beats sort.Slice here: the
-// set is small, largely sorted already (survivors from last cycle stay in
-// order), and a typed sort avoids reflection in the swap path.
-func sortReady(r []cand) {
-	for i := 1; i < len(r); i++ {
-		c := r[i]
+// candLess is the select priority of the legacy window scan: program
+// order, then slice.
+func candLess(a, b cand) bool {
+	return a.seq < b.seq || (a.seq == b.seq && a.sl < b.sl)
+}
+
+// mergeReady folds this cycle's admits into the age-ordered ready set.
+// The admits are few and arrive in push order, so they are put in order
+// with an insertion sort; the merge then runs from the back, moving only
+// the survivors younger than some admit.
+func mergeReady(r, a []cand) []cand {
+	for i := 1; i < len(a); i++ {
+		c := a[i]
 		j := i - 1
-		for j >= 0 && (r[j].seq > c.seq || (r[j].seq == c.seq && r[j].sl > c.sl)) {
-			r[j+1] = r[j]
+		for j >= 0 && candLess(c, a[j]) {
+			a[j+1] = a[j]
 			j--
 		}
-		r[j+1] = c
+		a[j+1] = c
 	}
+	n := len(r)
+	r = append(r, a...)
+	if n == 0 || candLess(r[n-1], a[0]) {
+		return r // every admit is younger than every survivor
+	}
+	i, j := n-1, len(a)-1
+	for k := len(r) - 1; j >= 0; k-- {
+		if i >= 0 && candLess(a[j], r[i]) {
+			r[k] = r[i]
+			i--
+		} else {
+			r[k] = a[j]
+			j--
+		}
+	}
+	return r
+}
+
+// replay wastes the slot slice sl of e just won: its operand did not
+// arrive (or an injected fault corrupted it), so the slice-op is
+// re-enqueued to retry at cycle retry.
+func (s *Sim) replay(e *entry, sl int, retry, cause int64) {
+	e.slices[sl].retryC = retry
+	e.replayedSelf = true
+	s.res.Replays++
+	if s.collecting {
+		s.emit(telemetry.EvReplay, e.seq, int8(sl), retry, cause)
+	}
+	s.enqueueCand(e, sl)
+}
+
+// verify is the issue-time check of a speculatively woken slice-op: it
+// reports whether a replay is due and, if so, its retry cycle and cause.
+// Only a load producer can announce a time its data misses; without
+// one, the ground-truth view equals the announced wake, which has
+// passed, so nothing is re-evaluated.
+func (s *Sim) verify(e *entry, sl int) (replay bool, retry, cause int64) {
+	if e.loadSrc {
+		if act := s.depsAvail(e, sl, false); act > s.now {
+			// Load-hit misspeculation: the slot is wasted and the
+			// slice-op replays once its operand truly arrives.
+			return true, retryAt(act), replayCause(act)
+		}
+	}
+	if s.injOn && s.inj.FlipSlice(e.seq, sl) {
+		// Injected slice corruption: the verify stage catches it, the
+		// slot is wasted and the slice-op replays next cycle.
+		return true, s.now + 1, telemetry.ReplayInjected
+	}
+	return false, 0, 0
 }
 
 // tryIssueSlice attempts to issue one slice-op of a sliced entry,
@@ -280,36 +348,13 @@ func (s *Sim) tryIssueSlice(e *entry, sl int) bool {
 	}
 	s.issueUsed[sl]++
 	s.aluUsed[sl]++
-	st := &e.slices[sl]
-	st.inReady = false // the candidate is consumed either way below
-	if act := s.depsAvailC(e, sl, false); act > s.now {
-		// Load-hit misspeculation: the slot is wasted and the slice-op
-		// replays once its operand truly arrives.
-		st.retryC = retryAt(act)
-		e.replayedSelf = true
-		e.invalidateDeps()
-		s.res.Replays++
-		if s.collecting {
-			s.emit(telemetry.EvReplay, e.seq, int8(sl), st.retryC, replayCause(act))
-		}
-		s.enqueueCand(e, sl)
-		return true
-	}
-	if s.injOn && s.inj.FlipSlice(e.seq, sl) {
-		// Injected slice corruption: the verify stage catches it, the
-		// slot is wasted and the slice-op replays next cycle.
-		st.retryC = s.now + 1
-		e.replayedSelf = true
-		e.invalidateDeps()
-		s.res.Replays++
-		if s.collecting {
-			s.emit(telemetry.EvReplay, e.seq, int8(sl), st.retryC, telemetry.ReplayInjected)
-		}
-		s.enqueueCand(e, sl)
+	e.slices[sl].queued = false // the candidate is consumed either way below
+	if replay, retry, cause := s.verify(e, sl); replay {
+		s.replay(e, sl, retry, cause)
 		return true
 	}
 	markSliceIssued(e, sl, s.now)
-	e.invalidateDeps()
+	s.work.issues++
 	if s.tracing {
 		s.trace("exec     #%d slice %d", e.seq, sl)
 	}
@@ -321,11 +366,13 @@ func (s *Sim) tryIssueSlice(e *entry, sl int) bool {
 		e.execDone = true
 		s.iqCount--
 	}
-	s.wakeConsumers(e)
-	// Carry chains and in-order slice issue make the next slice of this
-	// entry dependent on the one that just executed.
-	if sl+1 < e.nSlices && !e.slices[sl+1].started {
-		s.enqueueCand(e, sl+1)
+	if !e.isLoad {
+		s.wakeConsumers(e, sl) // a load's consumers wait for its memory access
+	}
+	// A carry chain or in-order slice issue makes the next slice wait on
+	// this one; it is enqueued now if nothing else holds it back.
+	if nx := sl + 1; nx < e.nSlices && e.chainMask&(1<<nx) != 0 && e.unres[nx] == 0 {
+		s.enqueueCand(e, nx)
 	}
 	return true
 }
@@ -374,34 +421,15 @@ func (s *Sim) tryIssueFull(e *entry) bool {
 		s.issueUsed[0]++
 		s.aluUsed[0]++
 	}
-	st := &e.slices[0]
-	st.inReady = false // the candidate is consumed either way below
-	if act := s.depsAvailC(e, 0, false); act > s.now {
-		st.retryC = retryAt(act)
-		e.replayedSelf = true
-		e.invalidateDeps()
-		s.res.Replays++
-		if s.collecting {
-			s.emit(telemetry.EvReplay, e.seq, 0, st.retryC, replayCause(act))
-		}
-		s.enqueueCand(e, 0)
-		return true
-	}
-	if s.injOn && s.inj.FlipSlice(e.seq, 0) {
-		st.retryC = s.now + 1
-		e.replayedSelf = true
-		e.invalidateDeps()
-		s.res.Replays++
-		if s.collecting {
-			s.emit(telemetry.EvReplay, e.seq, 0, st.retryC, telemetry.ReplayInjected)
-		}
-		s.enqueueCand(e, 0)
+	e.slices[0].queued = false // the candidate is consumed either way below
+	if replay, retry, cause := s.verify(e, 0); replay {
+		s.replay(e, 0, retry, cause)
 		return true
 	}
 	markSliceIssued(e, 0, s.now)
+	s.work.issues++
 	e.execDone = true
 	s.iqCount--
-	e.invalidateDeps()
 	if s.tracing {
 		s.trace("exec     #%d full (lat %d)", e.seq, e.fullLat)
 	}
@@ -409,6 +437,8 @@ func (s *Sim) tryIssueFull(e *entry) bool {
 		s.emit(telemetry.EvSliceIssue, e.seq, 0, s.criticalProducer(e, 0), 1)
 	}
 	s.onSliceExecuted(e, 0)
-	s.wakeConsumers(e)
+	if !e.isLoad {
+		s.wakeConsumers(e, 0)
+	}
 	return true
 }

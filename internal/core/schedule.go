@@ -11,6 +11,47 @@ import (
 // Operand availability
 // ---------------------------------------------------------------------------
 
+// srcRange returns the half-open range [lo, hi) of slices of source
+// operand i that slice sl of e reads: every slice for a full-width op,
+// slice 0 of a variable shift's amount, none of a store's data operand
+// (the LSQ consumes it, not address generation), and otherwise the
+// op's input-slice profile. depsAvail, criticalProducer and the
+// dispatch-time wake masks all read operands through it.
+func (s *Sim) srcRange(e *entry, i, sl int) (lo, hi int) {
+	switch {
+	case e.nSlices == 1:
+		return 0, s.cfg.Slices
+	case i == e.dataSrc:
+		return 0, 0
+	case i == e.amountSrc:
+		return 0, 1
+	}
+	lo, hi, _ = e.d.Inst.Op.InputSliceRange(sl, e.nSlices)
+	return lo, hi
+}
+
+// prodSlice maps slice k of an operand onto the slice of its non-load
+// producer p whose execution makes it available: the single op of a
+// full-width producer, the last slice when operands bypass atomically,
+// slice 0 for the upper slices of a narrow result (a known extension of
+// the low slice), and otherwise slice k itself, clamped to p's width.
+// srcAvail and the dispatch-time wake masks share it, so the
+// slice-mapping rule exists once.
+func (s *Sim) prodSlice(p *entry, k int) int {
+	switch {
+	case p.nSlices == 1:
+		return 0
+	case !s.cfg.PartialBypass:
+		return p.nSlices - 1 // atomic operands: the last slice
+	case k >= p.nSlices:
+		k = p.nSlices - 1
+	}
+	if k > 0 && p.narrow {
+		return 0
+	}
+	return k
+}
+
 // srcAvail returns when slice `sl` of source operand i of e becomes
 // available. announce selects the speculative (load-hit assumed) view used
 // for wakeup; the non-announce view is ground truth used at execute.
@@ -25,91 +66,52 @@ func (s *Sim) srcAvail(e *entry, i, sl int, announce bool) int64 {
 		}
 		return p.memActualDone
 	}
-	if p.nSlices == 1 {
-		st := &p.slices[0]
-		if !st.started {
-			return inf
+	st := &p.slices[s.prodSlice(p, sl)]
+	if p.nSlices > 1 {
+		return st.avail()
+	}
+	if !st.started {
+		return inf
+	}
+	done := st.startC + int64(p.fullLat)
+	if s.cfg.SerialMul && p.d.Inst.Op.SliceProfile() == isa.SliceSerialMul {
+		// Bit-serial product: slice sl emerges (nSlices-1-sl) cycles
+		// before the final slice, never earlier than one cycle in.
+		early := done - int64(s.cfg.Slices-1-min(sl, s.cfg.Slices-1))
+		if early < st.startC+1 {
+			early = st.startC + 1
 		}
-		done := st.startC + int64(p.fullLat)
-		if s.cfg.SerialMul && p.d.Inst.Op.SliceProfile() == isa.SliceSerialMul {
-			// Bit-serial product: slice sl emerges (nSlices-1-sl) cycles
-			// before the final slice, never earlier than one cycle in.
-			early := done - int64(s.cfg.Slices-1-min(sl, s.cfg.Slices-1))
-			if early < st.startC+1 {
-				early = st.startC + 1
-			}
-			return early
-		}
-		return done
+		return early
 	}
-	if !s.cfg.PartialBypass {
-		// Atomic operands: wait for the producer's last slice.
-		last := &p.slices[p.nSlices-1]
-		if !last.started {
-			return inf
-		}
-		return last.startC + 1
-	}
-	if sl >= p.nSlices {
-		sl = p.nSlices - 1
-	}
-	if sl > 0 && p.narrow {
-		// Narrow result: the upper slices are a known extension of the
-		// low slice and become available with it.
-		return p.slices[0].avail()
-	}
-	return p.slices[sl].avail()
+	return done
 }
 
 // depsAvail computes when slice sl of e can begin executing, considering
 // the slice-dependence profile, the carry chain, and in-order slice
 // issue when out-of-order slices are disabled.
 func (s *Sim) depsAvail(e *entry, sl int, announce bool) int64 {
+	if announce {
+		s.work.evals++
+	}
 	t := e.dispC + int64(s.cfg.RFStages) + 1 // earliest possible execute
 	if st := &e.slices[sl]; st.retryC > t {
 		t = st.retryC
 	}
-	op := e.d.Inst.Op
-	if e.nSlices == 1 {
-		// Full-width: all slices of all sources.
-		for i := 0; i < e.d.NSrc; i++ {
-			for k := 0; k < s.cfg.Slices; k++ {
-				if a := s.srcAvail(e, i, k, announce); a > t {
-					t = a
-				}
-			}
-		}
-		return t
-	}
-	lo, hi, carry := op.InputSliceRange(sl, e.nSlices)
 	for i := 0; i < e.d.NSrc; i++ {
-		// A store's data operand is not consumed by the address-generation
-		// slices; it is handled by the LSQ.
-		if i == e.dataSrc {
-			continue
-		}
-		// Variable shifts additionally need slice 0 of the amount operand.
-		if i == e.amountSrc {
-			if a := s.srcAvail(e, i, 0, announce); a > t {
-				t = a
-			}
-			continue
-		}
+		lo, hi := s.srcRange(e, i, sl)
 		for k := lo; k < hi; k++ {
 			if a := s.srcAvail(e, i, k, announce); a > t {
 				t = a
 			}
 		}
 	}
-	if carry || !s.cfg.OoOSlices {
-		if sl > 0 {
-			prev := &e.slices[sl-1]
-			if !prev.started {
-				return inf
-			}
-			if a := prev.startC + 1; a > t {
-				t = a
-			}
+	if e.chainMask&(1<<sl) != 0 {
+		prev := &e.slices[sl-1]
+		if !prev.started {
+			return inf
+		}
+		if a := prev.startC + 1; a > t {
+			t = a
 		}
 	}
 	return t
@@ -169,27 +171,10 @@ func (s *Sim) criticalProducer(e *entry, sl int) int64 {
 			bestSeq = int64(p.seq) + 1
 		}
 	}
-	op := e.d.Inst.Op
-	if e.nSlices == 1 {
-		for i := 0; i < e.d.NSrc; i++ {
-			mx := int64(-1)
-			for k := 0; k < s.cfg.Slices; k++ {
-				if a := s.srcAvail(e, i, k, false); a > mx {
-					mx = a
-				}
-			}
-			track(i, mx)
-		}
-		return bestSeq
-	}
-	lo, hi, carry := op.InputSliceRange(sl, e.nSlices)
 	for i := 0; i < e.d.NSrc; i++ {
-		if i == e.dataSrc {
-			continue // a store's data operand is not consumed by agen
-		}
-		if i == e.amountSrc {
-			track(i, s.srcAvail(e, i, 0, false))
-			continue
+		lo, hi := s.srcRange(e, i, sl)
+		if lo == hi {
+			continue // operand not read by this slice-op
 		}
 		mx := int64(-1)
 		for k := lo; k < hi; k++ {
@@ -199,7 +184,7 @@ func (s *Sim) criticalProducer(e *entry, sl int) int64 {
 		}
 		track(i, mx)
 	}
-	if (carry || !s.cfg.OoOSlices) && sl > 0 {
+	if e.chainMask&(1<<sl) != 0 {
 		if prev := &e.slices[sl-1]; prev.started {
 			if t := prev.startC + 1; t >= bestT && t > 0 {
 				return -1
@@ -207,23 +192,6 @@ func (s *Sim) criticalProducer(e *entry, sl int) int64 {
 		}
 	}
 	return bestSeq
-}
-
-// depsAvailC is the memoizing wrapper around depsAvail used by the
-// event-driven scheduler: the result is cached per (slice, announce) and
-// invalidated only when a producer event (or the entry's own replay or
-// slice execution) could change it, so quiet cycles recompute nothing.
-func (s *Sim) depsAvailC(e *entry, sl int, announce bool) int64 {
-	a := 0
-	if announce {
-		a = 1
-	}
-	if e.depsOK[sl][a] {
-		return e.depsVal[sl][a]
-	}
-	v := s.depsAvail(e, sl, announce)
-	e.depsVal[sl][a], e.depsOK[sl][a] = v, true
-	return v
 }
 
 // onSliceExecuted handles per-slice side effects: branch resolution and

@@ -28,7 +28,7 @@ const (
 // sliceState tracks one slice-op of an in-flight instruction.
 type sliceState struct {
 	started bool
-	inReady bool  // event scheduler: a candidate sits in the ready set
+	queued  bool  // event scheduler: a candidate sits in the wheel or ready set
 	startC  int64 // cycle execution of this slice began
 	retryC  int64 // earliest re-execution after a replay
 }
@@ -130,15 +130,27 @@ type entry struct {
 	// old generation are recognized and dropped instead of acting on a
 	// recycled entry. squashed marks wrong-path entries removed by a
 	// squash (they may still be referenced by the wheel). consumers lists
-	// the dispatched entries renamed onto this producer; a producer event
-	// (slice executed, load completion time established) walks it to wake
-	// dependents. retireTag snapshots seqCtr at commit/squash: the entry
-	// can be recycled only once every older in-flight entry — any of
-	// which may hold srcProd/prevDstProd pointers to it — has drained.
+	// the dispatched entries renamed onto this producer that still wait
+	// on one of its events (a slice executed, a load's completion time
+	// established); the event walks it to wake them. retireTag snapshots
+	// seqCtr at commit/squash: the entry can be recycled only once every
+	// older in-flight entry — any of which may hold srcProd/prevDstProd
+	// pointers to it — has drained.
 	gen       uint32
 	squashed  bool
 	retireTag uint64
 	consumers []consRef
+
+	// unres counts, per slice, the producer events this slice-op still
+	// waits for; chainMask marks the slices that also wait on their own
+	// predecessor (a carry, or in-order slice issue). A slice enters the
+	// wakeup wheel once its count is zero and its predecessor (if any)
+	// has issued, so its wake time is evaluated exactly once. loadSrc
+	// records that some source is a load, the only producer whose
+	// speculative and ground-truth availability can differ.
+	unres     [8]uint8
+	chainMask uint8
+	loadSrc   bool
 
 	// lsqEnt points at lsqData while the op is in the LSQ, so the
 	// per-cycle store/load bookkeeping pays neither a lookup nor (since
@@ -147,25 +159,17 @@ type entry struct {
 	// entry can recycle, so the embedding never aliases a stale op.
 	lsqEnt  *lsq.Entry
 	lsqData lsq.Entry
-
-	// Memoized depsAvail per (slice, announce), invalidated only on
-	// producer events — this removes the duplicated speculative/actual
-	// recomputation the scan-based scheduler performed every cycle.
-	depsVal [8][2]int64
-	depsOK  [8][2]bool
 }
 
 // consRef is one consumer registration on a producer entry. The gen
 // snapshot detects consumers that were squashed and recycled while the
-// producer was still in flight.
+// producer was still in flight. wake[j] is the set of consumer slices
+// that read the producer's event j: its slice j executing, or for a
+// load (j = 0) its completion time becoming known.
 type consRef struct {
-	e   *entry
-	gen uint32
-}
-
-// invalidateDeps drops every memoized depsAvail value of the entry.
-func (e *entry) invalidateDeps() {
-	e.depsOK = [8][2]bool{}
+	e    *entry
+	gen  uint32
+	wake [8]uint8
 }
 
 // Result aggregates the statistics of one timing run.
@@ -243,9 +247,10 @@ type Sim struct {
 	tel        telemetry.Collector
 	wh         wakeWheel // bucketed timing wheel of slice-op wakeups
 	ready      []cand    // due candidates, kept sorted by (seq, slice)
-	readyDirty bool      // ready gained unsorted arrivals this cycle
+	admits     []cand    // candidates drained this cycle, merged into ready
 	memWatch   []*entry  // loads/stores still needing memory-stage attention
 	iqCount    int       // window entries with !execDone (issue-queue slots)
+	work       schedWork // scheduler work counters (tests only, off Result)
 
 	// Entry pool: freeList holds recycled entries; retireQ holds
 	// committed/squashed entries whose recycling is deferred until no

@@ -92,9 +92,9 @@ func (s *Sim) nextCycle(lastCommit, budget int64) int64 {
 		}
 	}
 
-	// Scheduler events: the earliest wheel wakeup. Candidates parked at
-	// inf are re-enqueued by producer events, which are themselves wheel
-	// or memory events already bounding the jump.
+	// Scheduler events: the earliest wheel wakeup. Slice-ops not yet in
+	// the wheel are enqueued by producer events, which are themselves
+	// wheel or memory events already bounding the jump.
 	if t := s.wh.min(); t < target {
 		target = t
 	}

@@ -67,6 +67,14 @@ func TestTelemetryGoldenAcrossSchedulers(t *testing.T) {
 			return c
 		}()},
 		{"twolf", BaseConfig()},
+		{"li", SimplePipelined(4)}, // atomic bypass, in-order slices
+		{"ijpeg", func() Config {
+			c := BitSliced(4)
+			c.Name = "bit-slice-x4+narrow+serialmul"
+			c.NarrowWidth = true // upper slices wake with slice 0
+			c.SerialMul = true   // per-slice products of a full-width op
+			return c
+		}()},
 	}
 	for _, tc := range cases {
 		name := fmt.Sprintf("%s/%s", tc.bench, tc.cfg.Name)
