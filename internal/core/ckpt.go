@@ -23,11 +23,9 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"pok/internal/bpred"
 	"pok/internal/cache"
 	"pok/internal/ckpt"
 	"pok/internal/emu"
-	"pok/internal/lsq"
 	"pok/internal/telemetry"
 )
 
@@ -93,7 +91,7 @@ func (s *Sim) stopReason() string {
 func (s *Sim) quiescent() bool {
 	return s.window.Len() == 0 && s.fetchBuf.Len() == 0 && !s.pendingOK &&
 		s.wpFork == nil && s.wpBranch == nil && s.fetchBlockedBy == nil &&
-		len(s.memWatch) == 0 && s.lsq.Len() == 0 && len(s.ready) == 0
+		len(s.memDue) == 0 && s.lsq.Len() == 0 && len(s.ready) == 0
 }
 
 // schedulerKind/emulatorKind name the run flavor for Meta.
@@ -286,13 +284,7 @@ func NewSimFromSnapshot(snap *ckpt.Snapshot, cfg Config, maxInsts uint64) (*Sim,
 	if em.Legacy() != cfg.LegacyEmulator {
 		return nil, fmt.Errorf("core: emulator state flavor disagrees with config")
 	}
-	pred := bpred.NewDefault()
-	if cfg.UseBimodal {
-		pred.Dir = bpred.NewBimodal(16)
-	}
-	if cfg.UseLocal {
-		pred.Dir = bpred.NewLocal(12, 14)
-	}
+	pred := newPredictor(&cfg)
 	if snap.Bpred == nil {
 		return nil, fmt.Errorf("core: snapshot has no branch-predictor state")
 	}
@@ -320,23 +312,15 @@ func NewSimFromSnapshot(snap *ckpt.Snapshot, cfg Config, maxInsts uint64) (*Sim,
 	}
 
 	s := &Sim{
-		cfg:        cfg,
-		em:         em,
-		pred:       pred,
-		dtlb:       dtlb,
-		hier:       hier,
-		lsq:        lsq.New(cfg.LSQSize),
-		legacy:     cfg.LegacyScheduler,
-		tracing:    cfg.Trace != nil,
-		collecting: cfg.Collector != nil,
-		oracleOn:   cfg.Oracle != nil,
-		invOn:      cfg.Invariants != nil,
-		injOn:      cfg.Inject != nil,
-		inj:        cfg.Inject,
-		tel:        cfg.Collector,
-		maxInsts:   maxInsts,
-		resumed:    true,
+		cfg:      cfg,
+		em:       em,
+		pred:     pred,
+		dtlb:     dtlb,
+		hier:     hier,
+		maxInsts: maxInsts,
+		resumed:  true,
 	}
+	s.finishInit()
 	s.now = cc.Now
 	s.lastCommitC = cc.LastCommit
 	s.res = cc.Res
@@ -369,14 +353,5 @@ func NewSimFromSnapshot(snap *ckpt.Snapshot, cfg Config, maxInsts uint64) (*Sim,
 		}
 		s.baseTel = &sum
 	}
-
-	s.wh.ovMin = inf
-	if !s.legacy {
-		backing := make([]cand, wheelHorizon*4)
-		for i := range s.wh.bucket {
-			s.wh.bucket[i] = backing[i*4 : i*4 : (i+1)*4]
-		}
-	}
-	s.skipOK = !s.legacy && !s.tracing && !s.collecting && !s.invOn && !s.injOn
 	return s, nil
 }

@@ -343,3 +343,62 @@ func TestSnapshotConfigMismatchRefused(t *testing.T) {
 		t.Error("resume under a different emulator flavor accepted")
 	}
 }
+
+// TestResumeRebuildsConfigState: a Sim rebuilt from a snapshot carries
+// the same Config-derived state as a fresh one (both constructors share
+// finishInit), and the resumed run dispatches, issues and finishes
+// bit-identical to the reference. The kitchen-sink machine runs with
+// the invariant checker attached on both sides, so the memory-stage
+// wakeup rules also hold across the resume point.
+func TestResumeRebuildsConfigState(t *testing.T) {
+	const maxInsts = 8_000
+	const every = 2_000
+	w := workload.MustGet("gcc")
+	checked := kitchenSinkConfig()
+	checked.Invariants = &InvariantConfig{}
+	for _, cfg := range []Config{BitSliced(4), checked} {
+		cfg := cfg
+		t.Run(cfg.Name, func(t *testing.T) {
+			t.Parallel()
+			ref := &captureSink{}
+			refRes := runCkpt(t, w, cfg, maxInsts, every, ref)
+			if len(ref.snaps) == 0 {
+				t.Fatal("reference run wrote no snapshots")
+			}
+			prog, err := w.Program(w.DefaultScale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewSim(prog, cfg, maxInsts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, snap := range ref.snaps {
+				s, err := NewSimFromSnapshot(snap, cfg, maxInsts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s.plans != fresh.plans {
+					t.Errorf("snapshot %d: resumed plan table differs from a fresh Sim's", i)
+				}
+				if s.skipOK != fresh.skipOK || s.legacy != fresh.legacy || s.invOn != fresh.invOn ||
+					s.wh.ovMin != fresh.wh.ovMin || cap(s.wh.bucket[0]) != cap(fresh.wh.bucket[0]) {
+					t.Errorf("snapshot %d: resumed Sim's gates or wheel differ from a fresh Sim's", i)
+				}
+				s.SetCheckpoint(every, &captureSink{}, snap.Meta.Benchmark)
+				res, err := s.Run()
+				if err != nil {
+					t.Fatalf("resume from snapshot %d: %v", i, err)
+				}
+				if res.Insts <= snap.Meta.Insts || s.work.issues == 0 || s.work.memPushes == 0 {
+					t.Errorf("resume from snapshot %d (insts=%d): nothing dispatched after the resume",
+						i, snap.Meta.Insts)
+				}
+				if *res != *refRes {
+					t.Errorf("resume from snapshot %d: Result diverges\nref:\n%s\ngot:\n%s",
+						i, refRes.Summary(), res.Summary())
+				}
+			}
+		})
+	}
+}

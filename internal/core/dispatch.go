@@ -40,7 +40,7 @@ func (s *Sim) dispatch() {
 			}
 			return // per-slice issue queues full (Figure 7)
 		}
-		if e.d.Inst.Op.Class() == isa.ClassSyscall && s.window.Len() > 0 && !e.wp {
+		if e.plan.has(planSyscall) && s.window.Len() > 0 && !e.wp {
 			return // serialize syscalls (wrong-path ones never commit anyway)
 		}
 		if (e.isLoad || e.isStore) && s.lsq.Full() {
@@ -94,19 +94,16 @@ func (s *Sim) dispatch() {
 				Seq:     e.seq,
 				IsStore: e.isStore,
 				Addr:    e.d.EffAddr,
-				Size:    e.d.Inst.Op.MemSize(),
+				Size:    e.plan.memSize,
 			}
 			q := &e.lsqData
 			_ = s.lsq.Insert(q)
 			e.lsqEnt = q
 			e.lsqInserted = true
-			if !s.legacy {
-				s.memWatch = append(s.memWatch, e)
-			}
 		}
 
 		// Direct jumps resolve at dispatch; they can never mispredict.
-		if e.d.Inst.Op == isa.OpJ || e.d.Inst.Op == isa.OpJAL {
+		if e.plan.has(planDirectJump) {
 			e.resolved = true
 			e.resolveC = s.now
 		}
@@ -122,6 +119,10 @@ func (s *Sim) dispatch() {
 					s.enqueueCand(e, sl)
 				}
 			}
+			// Likewise queue a memory op whose gate inputs are known.
+			if (e.isStore || e.isLoad && s.cfg.SumAddressed) && e.memUnres == 0 {
+				s.memInputsKnown(e)
+			}
 		}
 	}
 }
@@ -131,9 +132,15 @@ func (s *Sim) dispatch() {
 // for each producer event j, the slices of e that read it (srcRange
 // gives the operand slices a slice-op reads, prodSlice the producer
 // slice each one comes from; a load's consumers all read its single
-// completion event). Events that already happened are dropped, and each
-// pending (event, slice) pair counts once in e.unres.
+// completion event). Events that already happened are dropped after
+// folding their announced times into e.inAt, and each pending (event,
+// slice) pair counts once in e.unres. A memory op also registers for
+// the events its memory gate reads (registerMemConsumer).
 func (s *Sim) registerConsumer(e *entry) {
+	t0 := e.dispC + int64(s.cfg.RFStages) + 1 // earliest possible execute
+	for sl := 0; sl < e.nSlices; sl++ {
+		e.inAt[sl] = t0
+	}
 	for i := 0; i < e.d.NSrc; i++ {
 		p := e.srcProd[i]
 		if p == nil {
@@ -146,6 +153,7 @@ func (s *Sim) registerConsumer(e *entry) {
 			continue // both operands come from one producer: registered once
 		}
 		cr := consRef{e: e, gen: e.gen}
+		pending := false
 		for i2 := i; i2 < e.d.NSrc; i2++ {
 			if e.srcProd[i2] != p {
 				continue
@@ -157,31 +165,67 @@ func (s *Sim) registerConsumer(e *entry) {
 					if !p.isLoad {
 						j = s.prodSlice(p, k)
 					}
+					if (p.isLoad && p.memIssued) || (!p.isLoad && p.slices[j].started) {
+						// The event already happened: fold its time.
+						if a := s.srcAvail(e, i2, k, true); a > e.inAt[sl] {
+							e.inAt[sl] = a
+						}
+						continue
+					}
+					pending = true
 					cr.wake[j] |= 1 << sl
 				}
 			}
 		}
-		events := p.nSlices
-		if p.isLoad {
-			events = 1
-		}
-		pending := false
-		for j := 0; j < events; j++ {
-			m := cr.wake[j]
-			if m == 0 {
-				continue
-			}
-			if (p.isLoad && p.memIssued) || (!p.isLoad && p.slices[j].started) {
-				cr.wake[j] = 0 // the event already happened
-				continue
-			}
-			pending = true
-			for ; m != 0; m &= m - 1 {
-				e.unres[bits.TrailingZeros8(m)]++
-			}
-		}
 		if pending {
+			for j := range cr.wake {
+				for m := cr.wake[j]; m != 0; m &= m - 1 {
+					e.unres[bits.TrailingZeros8(m)]++
+				}
+			}
 			p.consumers = append(p.consumers, cr)
 		}
+	}
+	if e.isStore && e.dataSrc >= 0 {
+		s.registerMemConsumer(e, e.dataSrc, s.cfg.Slices)
+	}
+	if e.isLoad && s.cfg.SumAddressed {
+		k := s.cfg.AddrSliceFor16Bits()
+		for i := 0; i < e.d.NSrc; i++ {
+			s.registerMemConsumer(e, i, k+1)
+		}
+	}
+}
+
+// registerMemConsumer registers memory op e for the producer events
+// that fix the ground-truth arrival of slices [0, hi) of its operand i:
+// the producer slice each one comes from, or a load producer's
+// completion time becoming known. Each pending event counts once in
+// e.memUnres.
+func (s *Sim) registerMemConsumer(e *entry, i, hi int) {
+	p := e.srcProd[i]
+	if p == nil {
+		return
+	}
+	cr := consRef{e: e, gen: e.gen}
+	if p.isLoad {
+		if p.memIssued && p.memPendFull == pendNone {
+			return
+		}
+		cr.wake[0] = 1
+	} else {
+		for k := 0; k < hi; k++ {
+			if j := s.prodSlice(p, k); !p.slices[j].started {
+				cr.wake[j] = 1
+			}
+		}
+	}
+	var n uint8
+	for _, w := range cr.wake {
+		n += w
+	}
+	if n > 0 {
+		e.memUnres += n
+		p.memConsumers = append(p.memConsumers, cr)
 	}
 }

@@ -82,14 +82,7 @@ func TestEventSchedulerMatchesLegacy(t *testing.T) {
 // decoder, DTLB, bounded issue queues).
 func TestEventSchedulerMatchesLegacyConfigs(t *testing.T) {
 	const insts = 100_000
-	kitchen := BitSliced(4)
-	kitchen.Name = "kitchen-sink"
-	kitchen.WrongPath = true
-	kitchen.NarrowWidth = true
-	kitchen.SerialMul = true
-	kitchen.SumAddressed = true
-	kitchen.UseDTLB = true
-	kitchen.IssueQueueSize = 16
+	kitchen := kitchenSinkConfig()
 
 	wp2 := BitSliced(2)
 	wp2.Name = "bit-slice-x2+wp"
@@ -107,4 +100,19 @@ func TestEventSchedulerMatchesLegacyConfigs(t *testing.T) {
 			})
 		}
 	}
+}
+
+// kitchenSinkConfig is the slice-by-4 machine with every second-order
+// feature enabled: wrong-path execution, narrow-width, serial
+// multiplier, sum-addressed decoder, DTLB and bounded issue queues.
+func kitchenSinkConfig() Config {
+	kitchen := BitSliced(4)
+	kitchen.Name = "kitchen-sink"
+	kitchen.WrongPath = true
+	kitchen.NarrowWidth = true
+	kitchen.SerialMul = true
+	kitchen.SumAddressed = true
+	kitchen.UseDTLB = true
+	kitchen.IssueQueueSize = 16
+	return kitchen
 }

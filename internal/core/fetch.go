@@ -128,9 +128,9 @@ func (s *Sim) fetch() error {
 			e.pred = s.pred.Predict(d.PC, &e.d.Inst)
 			actualTarget := d.NextPC
 			e.mispred = s.pred.Resolve(d.PC, &e.d.Inst, e.pred, d.Taken, actualTarget)
-			if d.Inst.Op.IsBranch() {
+			if e.plan.has(planBranch) {
 				s.res.Branches++
-				if d.Inst.Op.EqualityBranch() {
+				if e.plan.has(planEqBranch) {
 					s.res.EqBranches++
 				}
 				if e.mispred {
@@ -222,7 +222,7 @@ func (s *Sim) squashWrongPath() {
 		s.freeEntry(e)
 	}
 	if !s.legacy {
-		s.scrubMemWatch()
+		s.scrubMemDue()
 	}
 	s.wpFork = nil
 	s.wpBranch = nil
@@ -269,12 +269,18 @@ func liveProd(p *entry, gen uint32) *entry {
 	return p
 }
 
-// initEntry decodes the structural properties of an instruction.
+// initEntry decodes the structural properties of an instruction from
+// its op's plan and its operands.
 func (s *Sim) initEntry(e *entry) {
-	op := e.d.Inst.Op
-	e.isLoad = op.IsLoad()
-	e.isStore = op.IsStore()
-	e.isCtrl = op.IsControl()
+	p := &s.plans[e.d.Inst.Op]
+	e.plan = p
+	e.isLoad = p.has(planLoad)
+	e.isStore = p.has(planStore)
+	e.isCtrl = p.has(planCtrl)
+	e.nSlices = int(p.nSlices)
+	e.fullLat = p.fullLat
+	e.fullMask = p.fullMask
+	e.chainMask = p.chainMask
 	e.memPredDone, e.memActualDone = inf, inf
 	e.resolveC = inf
 
@@ -285,7 +291,7 @@ func (s *Sim) initEntry(e *entry) {
 	if e.isStore && e.d.Inst.Rt != isa.RegZero {
 		e.dataSrc = e.d.NSrc - 1
 	}
-	if needsAmount(op) && e.d.Inst.Rs != isa.RegZero {
+	if p.has(planAmount) && e.d.Inst.Rs != isa.RegZero {
 		e.amountSrc = 0
 	}
 
@@ -298,58 +304,4 @@ func (s *Sim) initEntry(e *entry) {
 		mask := uint32(1)<<(32-w) - 1
 		e.narrow = upper == 0 || upper == mask
 	}
-
-	switch op.Class() {
-	case isa.ClassIntALU, isa.ClassBranch, isa.ClassLoad, isa.ClassStore:
-		if s.cfg.Slices > 1 && sliceable(op) {
-			e.nSlices = s.cfg.Slices
-		} else {
-			e.nSlices = 1
-			e.fullLat = 1
-		}
-	case isa.ClassIntMul:
-		e.nSlices = 1
-		e.fullLat = s.cfg.IntMulLat
-	case isa.ClassIntDiv:
-		e.nSlices = 1
-		e.fullLat = s.cfg.IntDivLat
-	case isa.ClassFP:
-		e.nSlices = 1
-		e.fullLat = s.cfg.FPALULat
-	case isa.ClassFPMulDiv:
-		e.nSlices = 1
-		switch op {
-		case isa.OpMULS:
-			e.fullLat = s.cfg.FPMulLat
-		case isa.OpSQRTS:
-			e.fullLat = s.cfg.FPSqrtLat
-		default:
-			e.fullLat = s.cfg.FPDivLat
-		}
-	case isa.ClassJump, isa.ClassSyscall:
-		e.nSlices = 1
-		e.fullLat = 1
-	default:
-		e.nSlices = 1
-		e.fullLat = 1
-	}
-	e.fullMask = uint8(1)<<e.nSlices - 1
-
-	// Slices that also wait on their own predecessor: a carry-in, or
-	// any upper slice when slices issue in order.
-	for sl := 1; sl < e.nSlices; sl++ {
-		if _, _, carry := op.InputSliceRange(sl, e.nSlices); carry || !s.cfg.OoOSlices {
-			e.chainMask |= 1 << sl
-		}
-	}
-}
-
-// sliceable reports whether the op's execution decomposes into slice-ops
-// in the bit-sliced datapath.
-func sliceable(op isa.Op) bool {
-	switch op.SliceProfile() {
-	case isa.SliceFullWidth, isa.SliceSerialMul:
-		return false
-	}
-	return !op.IsControl() || op.IsBranch() // branches compare per slice; jumps are full-width
 }

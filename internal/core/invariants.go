@@ -22,8 +22,16 @@ import "fmt"
 //   - replay watchdog: a replayed slice-op whose ground-truth operand
 //     arrival is known must re-issue within ReplayBudget cycles of it;
 //   - exactly-once wakeup: under the event scheduler, an unstarted
-//     slice-op is queued only once all of its inputs are determined, and
-//     no later than its input count reaches zero.
+//     slice-op is queued only once all of its inputs are determined, no
+//     later than its input count reaches zero, and at the wake time
+//     depsAvail computes from scratch (the folded input maximum must
+//     agree with it);
+//   - memory wakeup: under the event scheduler, a memory op with
+//     memory-stage work whose cycle is known — an unissued load whose
+//     address gate is known (passed or not), a store whose data arrival
+//     is known, a deferred partial-tag load whose address is complete —
+//     sits in the wheel or the due list, and the due list holds each op
+//     at most once, in seq order.
 //
 // The checker returns an *InvariantError naming the violated rule, the
 // offending instruction and a pipeline dump; the run aborts at the first
@@ -62,6 +70,18 @@ func (s *Sim) checkInvariants() error {
 		if scan := s.iqOccupancyScan(); scan != s.iqCount {
 			return s.violation("iq-count", 0, "incremental iqCount %d != recount %d",
 				s.iqCount, scan)
+		}
+	}
+
+	if !s.legacy {
+		for i, c := range s.memDue {
+			if i > 0 && c.seq <= s.memDue[i-1].seq {
+				return s.violation("mem-wakeup", c.seq, "memory due list out of order or duplicated after seq %d",
+					s.memDue[i-1].seq)
+			}
+			if c.gen == c.e.gen && !c.e.memQueued {
+				return s.violation("mem-wakeup", c.seq, "memory-due op is not marked memory-queued")
+			}
 		}
 	}
 
@@ -138,11 +158,21 @@ func (s *Sim) checkInvariants() error {
 				switch {
 				case st.started:
 				case st.queued:
-					if s.depsAvail(e, sl, true) >= inf {
+					want := s.depsAvail(e, sl, true)
+					if want >= inf {
 						return s.violation("wakeup", e.seq, "slice %d queued before its inputs are known", sl)
+					}
+					if got := e.wake(sl); got != want {
+						return s.violation("wakeup", e.seq, "slice %d queued with folded wake %d, depsAvail %d",
+							sl, got, want)
 					}
 				case e.unres[sl] == 0 && !e.chainBlocked(sl):
 					return s.violation("wakeup", e.seq, "slice %d has all inputs but was never queued", sl)
+				}
+			}
+			if e.lsqInserted && !e.memQueued {
+				if err := s.checkMemWakeup(e); err != nil {
+					return err
 				}
 			}
 		}
@@ -183,6 +213,29 @@ func (s *Sim) checkInvariants() error {
 		if int(p.d.Dst) != r && int(p.d.Dst2) != r {
 			return s.violation("rename-dest", p.seq,
 				"rename map for r%d points at producer of r%d/r%d", r, p.d.Dst, p.d.Dst2)
+		}
+	}
+	return nil
+}
+
+// checkMemWakeup is the mem-wakeup rule for one memory op that is not
+// memory-queued: memory work whose cycle is known must be queued.
+func (s *Sim) checkMemWakeup(e *entry) error {
+	switch {
+	case e.isLoad && !e.memIssued:
+		if g := s.loadGate(e); g < inf {
+			return s.violation("mem-wakeup", e.seq,
+				"unissued load's address gate opens at %d but it is not memory-queued", g)
+		}
+	case e.isLoad && e.memPendFull != pendNone:
+		if _, fullC := s.agenTimes(e); fullC < inf {
+			return s.violation("mem-wakeup", e.seq,
+				"deferred partial-tag load's full address is known (%d) but it is not memory-queued", fullC)
+		}
+	case e.isStore && !e.lsqEnt.DataReady:
+		if t := s.dataArrival(e); t < inf {
+			return s.violation("mem-wakeup", e.seq,
+				"store's data arrives at %d but it is not memory-queued", t)
 		}
 	}
 	return nil

@@ -10,101 +10,211 @@ import (
 // Memory
 // ---------------------------------------------------------------------------
 
-// memoryStage is the event-driven memory loop: instead of rescanning the
-// whole window, it walks only the entries still needing attention — a
-// store whose data is not yet forwardable, a load not yet issued, or a
-// partial-tag load whose completion awaits the full address. Entries are
-// appended at dispatch (so the list stays in program order, preserving
-// cache-port arbitration order) and dropped as soon as their memory
-// obligations are met. A load that establishes its completion time fires
-// its producer event, so dependent slice-ops enter the wakeup wheel.
+// memoryStage is the event-driven memory stage. A memory op reaches it
+// only as a memory candidate on the wakeup wheel, pushed at the event
+// that fixes the cycle it has work to do:
+//
+//   - a load at the cycle its address gate opens: the low-16-bit agen
+//     slice under PartialTag (or, under SumAddressed, its base operand's
+//     ground-truth arrival, whichever is earlier), otherwise the full
+//     address. The agen slice's issue, or the last of the base
+//     operand's producer events, computes the gate;
+//   - a store at the ground-truth arrival of its data operand, computed
+//     when the last of the data producers' events fires (a load
+//     producer's event is its completion time becoming known, at its
+//     memory issue or, for a deferred partial-tag access, at
+//     finalizePendingLoad);
+//   - a deferred partial-tag load the cycle after its last agen slice
+//     issues, when its full address exists and its completion time can
+//     be finalized.
+//
+// The wheel is drained here, once a cycle, before anything else pushes:
+// slice candidates go on to schedule(), memory candidates join the due
+// list. Due ops are visited in seq order, so cache-port arbitration, the
+// store-before-younger-load data marking and the telemetry stream keep
+// program order. A load that loses port arbitration or is held back by
+// disambiguation stays due and retries next cycle; everything else
+// leaves the list after one visit.
 func (s *Sim) memoryStage() {
-	// Compact in place, writing a pointer only when an entry has actually
-	// been dropped ahead of it: in the common cycle nothing retires from
-	// the watch list and the loop performs no slice writes at all (each
-	// *entry store would otherwise pay a GC write barrier).
-	w := s.memWatch
+	s.drainWheel()
+	if len(s.memAdmits) > 0 {
+		s.memDue = mergeReady(s.memDue, s.memAdmits)
+		s.memAdmits = s.memAdmits[:0]
+	}
+	d := s.memDue
 	n := 0
-	for i, e := range w {
-		if e.committed || e.squashed {
-			continue // left the machine (squash also scrubs eagerly)
+	for i, c := range d {
+		e := c.e
+		if c.gen != e.gen || e.committed || e.squashed {
+			continue
 		}
-		done := true
-		if e.isStore && e.lsqInserted {
-			done = s.checkStoreData(e)
+		if s.memVisit(e) {
+			e.memQueued = false
+			continue
 		}
-		if e.isLoad {
-			if !e.memIssued && e.lsqInserted {
-				s.tryIssueLoad(e)
-				if e.memIssued {
-					// The load's announced completion time is now known:
-					// wake its register dependents.
-					s.wakeConsumers(e, 0)
-				}
-			}
-			// A deferred completion changes only the ground-truth time,
-			// which dependents read afresh at their issue-time verify.
-			if e.memIssued && e.memPendFull != pendNone {
-				s.finalizePendingLoad(e)
-			}
-			if !e.memIssued || e.memPendFull != pendNone {
-				done = false
-			}
+		if n != i {
+			d[n] = c
 		}
-		if !done {
-			if n != i {
-				w[n] = e
-			}
-			n++
-		}
+		n++
 	}
-	for i := n; i < len(w); i++ {
-		w[i] = nil
+	for i := n; i < len(d); i++ {
+		d[i] = cand{}
 	}
-	s.memWatch = w[:n]
+	s.memDue = d[:n]
 }
 
-// scrubMemWatch removes squashed entries eagerly so a recycled entry can
-// never be misread through a stale memWatch reference.
-func (s *Sim) scrubMemWatch() {
-	w := s.memWatch
+// memVisit does the memory-stage work a due op was queued for and
+// reports whether it is finished; a load that could not issue stays due.
+func (s *Sim) memVisit(e *entry) bool {
+	if e.isStore {
+		// The data operand has arrived: forwardable from now on.
+		e.lsqEnt.DataReady = true
+		e.dataReadyC = s.now // commit attribution: when the data arrived
+		return true
+	}
+	if e.memIssued {
+		// Deferred partial-tag access: the full address now exists.
+		s.finalizePendingLoad(e)
+		s.wakeMemConsumers(e, 0)
+		return true
+	}
+	s.work.loadVisits++
+	s.tryIssueLoad(e)
+	if !e.memIssued {
+		return false
+	}
+	// The load's announced completion time is now known: wake its
+	// register dependents. A deferred completion changes only the
+	// ground-truth time, which they read afresh at their issue-time
+	// verify; memory consumers wait for that one.
+	s.wakeConsumers(e, 0)
+	if e.memPendFull == pendNone {
+		s.wakeMemConsumers(e, 0)
+	}
+	return true
+}
+
+// pushMem queues memory op e for the memory stage at cycle wake.
+func (s *Sim) pushMem(e *entry, wake int64) {
+	e.memQueued = true
+	s.pushWheel(cand{e: e, wake: wake, seq: e.seq, gen: e.gen, sl: memSlice})
+}
+
+// scrubMemDue removes squashed entries eagerly so a recycled entry can
+// never be misread through a stale due-list reference.
+func (s *Sim) scrubMemDue() {
+	d := s.memDue
 	n := 0
-	for i, e := range w {
-		if !e.squashed {
+	for i, c := range d {
+		if !c.e.squashed {
 			if n != i {
-				w[n] = e
+				d[n] = c
 			}
 			n++
 		}
 	}
-	for i := n; i < len(w); i++ {
-		w[i] = nil
+	for i := n; i < len(d); i++ {
+		d[i] = cand{}
 	}
-	s.memWatch = w[:n]
+	s.memDue = d[:n]
+}
+
+// memInputsKnown queues memory op e once the ground-truth times its gate
+// reads are all known (memUnres reached zero): a store at its data
+// arrival, no earlier than the cycle after dispatch; a sum-addressed
+// load at its address gate.
+func (s *Sim) memInputsKnown(e *entry) {
+	if e.isStore {
+		s.pushMem(e, max(s.dataArrival(e), e.dispC+1))
+		return
+	}
+	s.queueLoadGate(e)
+}
+
+// queueLoadGate queues unissued load e at its address gate once the gate
+// is known.
+func (s *Sim) queueLoadGate(e *entry) {
+	if !e.memQueued && !e.memIssued {
+		if g := s.loadGate(e); g < inf {
+			s.pushMem(e, g)
+		}
+	}
+}
+
+// loadAgenEvent handles an address-generation slice of load e issuing:
+// it may open the load's memory gate or, once the last slice issued,
+// complete the address a deferred partial-tag access waits on.
+func (s *Sim) loadAgenEvent(e *entry) {
+	if !e.memIssued {
+		s.queueLoadGate(e)
+		return
+	}
+	if !e.memQueued && e.memPendFull != pendNone && allSlicesStarted(e) {
+		s.pushMem(e, s.now+1)
+	}
+}
+
+// wakeMemConsumers handles producer event j of p for the memory ops
+// waiting on it: slice j executing, or (j = 0) a load's ground-truth
+// completion time becoming known. An op whose last input resolved is
+// queued for the memory stage.
+func (s *Sim) wakeMemConsumers(p *entry, j int) {
+	for _, cr := range p.memConsumers {
+		if cr.wake[j] == 0 {
+			continue
+		}
+		c := cr.e
+		if c.gen != cr.gen || c.committed || c.squashed {
+			continue
+		}
+		c.memUnres--
+		if c.memUnres == 0 {
+			s.memInputsKnown(c)
+		}
+	}
+}
+
+// loadGate returns the cycle load e may first try the cache: the cycle
+// its low 16 address bits exist under PartialTag, its full address
+// otherwise; inf while unknown.
+func (s *Sim) loadGate(e *entry) int64 {
+	partialC, fullC := s.agenTimes(e)
+	if s.cfg.PartialTag {
+		return partialC
+	}
+	return fullC
+}
+
+// dataArrival returns the ground-truth cycle every slice of store e's
+// data operand is available, or inf while a producer's time is unknown.
+func (s *Sim) dataArrival(e *entry) int64 {
+	var t int64
+	if e.dataSrc < 0 {
+		return t // $zero data: available at dispatch
+	}
+	for k := 0; k < s.cfg.Slices; k++ {
+		if a := s.srcAvail(e, e.dataSrc, k, false); a > t {
+			t = a
+			if t >= inf {
+				return inf
+			}
+		}
+	}
+	return t
 }
 
 // checkStoreData marks the store's LSQ entry data-ready once the data
-// operand's full value is available, reporting whether the store needs no
-// further memory-stage attention.
-func (s *Sim) checkStoreData(e *entry) bool {
+// operand's full value is available (the legacy scheduler's per-cycle
+// poll; the event path queues the store at its arrival instead).
+func (s *Sim) checkStoreData(e *entry) {
 	q := e.lsqEnt
 	if q == nil || q.DataReady {
-		return true
+		return
 	}
-	ready := true
-	if e.dataSrc >= 0 {
-		for k := 0; k < s.cfg.Slices; k++ {
-			if s.srcAvail(e, e.dataSrc, k, false) > s.now {
-				ready = false
-				break
-			}
-		}
-	}
-	if ready {
+	if s.dataArrival(e) <= s.now {
 		q.DataReady = true
 		e.dataReadyC = s.now // commit attribution: when the data arrived
 	}
-	return ready
 }
 
 // finalizePendingLoad resolves a partial-tag access whose outcome needed
@@ -126,10 +236,8 @@ func (s *Sim) finalizePendingLoad(e *entry) {
 // tryIssueLoad attempts to send a load to the memory system this cycle.
 func (s *Sim) tryIssueLoad(e *entry) {
 	if s.portsUsed >= s.cfg.CachePorts {
-		// Port starvation is cycle-local: the retry next cycle may win
-		// arbitration, so the next cycle must actually be simulated.
-		s.memStarved = true
-		return
+		s.work.portRetries++
+		return // port starvation is cycle-local: retry next cycle
 	}
 	q := e.lsqEnt
 	if q == nil {
@@ -139,9 +247,11 @@ func (s *Sim) tryIssueLoad(e *entry) {
 	partialC, fullC := s.agenTimes(e)
 	if s.cfg.PartialTag {
 		if partialC > s.now {
+			s.work.loadEarly++
 			return // not even the low 16 bits yet
 		}
 	} else if fullC > s.now {
+		s.work.loadEarly++
 		return
 	}
 
@@ -150,11 +260,13 @@ func (s *Sim) tryIssueLoad(e *entry) {
 		// store's partial address matched (§5.1 LoadWait); it retries
 		// next cycle.
 		e.disambigWait = true
+		s.work.waitRetries++
 		return
 	}
-	status, fwdSeq := s.lsq.Disambiguate(e.seq, s.cfg.EarlyLSDisambig)
+	status, _ := s.lsq.Disambiguate(e.seq, s.cfg.EarlyLSDisambig)
 	if status == lsq.LoadWait {
 		e.disambigWait = true // commit attribution: LSQ held this load back
+		s.work.waitRetries++
 		return
 	}
 	// "Early release": the load issued while its own or some prior store's
@@ -172,7 +284,6 @@ func (s *Sim) tryIssueLoad(e *entry) {
 		s.res.LoadsEarlyRelease++
 	}
 	if status == lsq.LoadForward {
-		_ = fwdSeq
 		e.memIssued = true
 		e.forwarded = true
 		e.memPredDone = s.now + 1

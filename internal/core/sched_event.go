@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 
-	"pok/internal/isa"
 	"pok/internal/telemetry"
 )
 
@@ -11,7 +10,7 @@ import (
 //
 // Instead of rescanning the whole window every cycle, each slice-op is
 // pushed into a time-indexed wakeup wheel (a bucketed timing wheel keyed
-// on its speculative depsAvail) exactly once per attempt, at the event
+// on its speculative wake time) exactly once per attempt, at the event
 // that determines the last of its inputs:
 //
 //   - dispatch seeds every slice whose inputs are already determined;
@@ -27,25 +26,40 @@ import (
 //   - a replay re-enqueues the slice-op at its retryC.
 //
 // Every input of depsAvail transitions exactly once from "unknown" (inf)
-// to a fixed time, so the wake time evaluated when the last input
-// resolves is exact: the slice-op is pushed once, sits in the wheel or
-// the ready set (sliceState.queued) until it issues or replays, and is
-// never re-evaluated in between. Ready candidates issue in (seq, slice)
-// order, reproducing the select priority of the legacy window scan
-// cycle for cycle.
+// to a fixed time, and each producer event folds that time into the
+// consumer slice's running maximum (entry.inAt), so the wake time taken
+// when the last input resolves is exact and costs one max: the slice-op
+// is pushed once, sits in the wheel or the ready set (sliceState.queued)
+// until it issues or replays, and is never re-evaluated in between.
+// Ready candidates issue in (seq, slice) order, reproducing the select
+// priority of the legacy window scan cycle for cycle. Memory ops share
+// the wheel as memory candidates (see memory.go).
 
 // schedWork counts the event scheduler's work for tests. It stays off
 // Result, so Result, telemetry and every digest over them are unchanged.
 type schedWork struct {
-	evals  uint64 // speculative (announce) depsAvail evaluations
-	pushes uint64 // wakeup-wheel insertions
-	admits uint64 // candidates moved from the wheel into the ready set
+	evals  uint64 // slice-op wake-time evaluations
+	pushes uint64 // slice candidates pushed into the wheel
+	admits uint64 // slice candidates moved from the wheel into the ready set
 	issues uint64 // slice-ops issued (replays are counted in Result)
+
+	// Memory stage.
+	memPushes   uint64 // memory candidates pushed into the wheel
+	memAdmits   uint64 // memory candidates moved into the due list
+	loadVisits  uint64 // issue attempts on unissued loads
+	loadEarly   uint64 // attempts that found the load's address gate closed
+	portRetries uint64 // attempts that lost cache-port arbitration
+	waitRetries uint64 // attempts held back by disambiguation (LoadWait)
 }
 
+// memSlice marks a memory candidate (cand.sl); slice candidates carry
+// the slice index.
+const memSlice = -1
+
 // cand is one wakeup-wheel candidate: slice sl of entry e becomes
-// schedulable at cycle wake. gen snapshots e.gen so candidates that
-// outlive a squashed-and-recycled entry are dropped on pop.
+// schedulable at cycle wake, or, with sl == memSlice, memory op e is due
+// in the memory stage. gen snapshots e.gen so candidates that outlive a
+// squashed-and-recycled entry are dropped on pop.
 type cand struct {
 	e    *entry
 	wake int64
@@ -120,7 +134,11 @@ func (w *wakeWheel) bucketMin() int64 {
 // to base so they surface at the next drain, exactly when the min-heap
 // predecessor would have re-delivered them.
 func (s *Sim) pushWheel(c cand) {
-	s.work.pushes++
+	if c.sl == memSlice {
+		s.work.memPushes++
+	} else {
+		s.work.pushes++
+	}
 	w := &s.wh
 	t := c.wake
 	if t < w.base {
@@ -139,11 +157,17 @@ func (s *Sim) pushWheel(c cand) {
 	w.count++
 }
 
-// admit moves a drained candidate into this cycle's admits unless its
-// entry was squashed (and possibly recycled) while it waited.
+// admit moves a drained candidate into this cycle's slice or memory
+// admits unless its entry was squashed (and possibly recycled) while it
+// waited.
 func (s *Sim) admit(c cand) {
 	e := c.e
 	if c.gen != e.gen || e.committed || e.squashed {
+		return
+	}
+	if c.sl == memSlice {
+		s.work.memAdmits++
+		s.memAdmits = append(s.memAdmits, c)
 		return
 	}
 	s.work.admits++
@@ -151,7 +175,8 @@ func (s *Sim) admit(c cand) {
 }
 
 // drainWheel moves every candidate due at or before s.now into this
-// cycle's admits and advances base past the consumed cycles.
+// cycle's admits and advances base past the consumed cycles. It runs
+// once a cycle, at the top of memoryStage.
 func (s *Sim) drainWheel() {
 	w := &s.wh
 	for w.count > 0 {
@@ -192,11 +217,30 @@ func (s *Sim) drainWheel() {
 	w.base = s.now + 1
 }
 
-// enqueueCand evaluates the speculative wake time of slice sl of e,
-// whose inputs are all determined, and inserts it into the wheel.
+// wake returns the speculative wake time of slice sl of e once all of
+// its inputs are determined: the folded input maximum, the retry time
+// of a replay, and the predecessor's result for a chained slice. It
+// equals depsAvail(e, sl, true), which the invariant checker's wakeup
+// rule asserts.
+func (e *entry) wake(sl int) int64 {
+	t := e.inAt[sl]
+	if r := e.slices[sl].retryC; r > t {
+		t = r
+	}
+	if e.chainMask&(1<<sl) != 0 {
+		if a := e.slices[sl-1].startC + 1; a > t {
+			t = a
+		}
+	}
+	return t
+}
+
+// enqueueCand inserts slice sl of e, whose inputs are all determined,
+// into the wheel at its wake time.
 func (s *Sim) enqueueCand(e *entry, sl int) {
 	e.slices[sl].queued = true
-	s.pushWheel(cand{e: e, wake: s.depsAvail(e, sl, true), seq: e.seq, gen: e.gen, sl: int32(sl)})
+	s.work.evals++
+	s.pushWheel(cand{e: e, wake: e.wake(sl), seq: e.seq, gen: e.gen, sl: int32(sl)})
 }
 
 // chainBlocked reports whether slice sl of e still waits on its own
@@ -205,11 +249,47 @@ func (e *entry) chainBlocked(sl int) bool {
 	return e.chainMask&(1<<sl) != 0 && e.startedMask&(1<<(sl-1)) == 0
 }
 
+// eventTime returns the announced time producer event j of p delivers:
+// a load's announced completion, otherwise the result of slice j (of
+// the single op, for a full-width producer). A bit-serial product is
+// the exception: its operand slices emerge at different times, so
+// those consumers fold through srcAvail instead (serialInAt).
+func eventTime(p *entry, j int) int64 {
+	if p.isLoad {
+		return p.memPredDone
+	}
+	if p.nSlices == 1 {
+		return p.slices[0].startC + int64(p.fullLat)
+	}
+	return p.slices[j].startC + 1
+}
+
+// serialInAt returns the latest announced time at which slice sl of c
+// reads an operand slice of the bit-serial producer p.
+func (s *Sim) serialInAt(c, p *entry, sl int) int64 {
+	var t int64
+	for i := 0; i < c.d.NSrc; i++ {
+		if c.srcProd[i] != p {
+			continue
+		}
+		lo, hi := s.srcRange(c, i, sl)
+		for k := lo; k < hi; k++ {
+			if a := s.srcAvail(c, i, k, true); a > t {
+				t = a
+			}
+		}
+	}
+	return t
+}
+
 // wakeConsumers handles producer event j of p: slice j executing, or
-// (j = 0) a load's completion time becoming known. Only the consumer
-// slices whose wake mask names the event are touched; each resolves one
-// input and enters the wheel once none is left.
+// (j = 0) a load's announced completion time becoming known. Only the
+// consumer slices whose wake mask names the event are touched; each
+// folds the event's time into its input maximum, resolves one input and
+// enters the wheel once none is left.
 func (s *Sim) wakeConsumers(p *entry, j int) {
+	t := eventTime(p, j)
+	serial := p.plan.has(planSerialMul)
 	for _, cr := range p.consumers {
 		m := cr.wake[j]
 		if m == 0 {
@@ -221,6 +301,13 @@ func (s *Sim) wakeConsumers(p *entry, j int) {
 		}
 		for ; m != 0; m &= m - 1 {
 			sl := bits.TrailingZeros8(m)
+			at := t
+			if serial {
+				at = s.serialInAt(c, p, sl)
+			}
+			if at > c.inAt[sl] {
+				c.inAt[sl] = at
+			}
 			c.unres[sl]--
 			if c.unres[sl] == 0 && !c.chainBlocked(sl) {
 				s.enqueueCand(c, sl)
@@ -229,13 +316,12 @@ func (s *Sim) wakeConsumers(p *entry, j int) {
 	}
 }
 
-// schedule pops due candidates off the wheel and merges them into the
-// age-ordered ready set, then issues it in program order under the same
-// per-slice issue/FU limits as the legacy scan. Resource-starved
-// candidates stay ready for the next cycle; replayed ones are
-// re-enqueued at their retryC.
+// schedule merges the slice candidates memoryStage drained off the
+// wheel into the age-ordered ready set, then issues it in program order
+// under the same per-slice issue/FU limits as the legacy scan.
+// Resource-starved candidates stay ready for the next cycle; replayed
+// ones are re-enqueued at their retryC.
 func (s *Sim) schedule() {
-	s.drainWheel()
 	if len(s.admits) > 0 {
 		s.ready = mergeReady(s.ready, s.admits)
 		s.admits = s.admits[:0]
@@ -274,8 +360,10 @@ func candLess(a, b cand) bool {
 	return a.seq < b.seq || (a.seq == b.seq && a.sl < b.sl)
 }
 
-// mergeReady folds this cycle's admits into the age-ordered ready set.
-// The admits are few and arrive in push order, so they are put in order
+// mergeReady folds this cycle's admits into an age-ordered candidate
+// list: the ready set, or the memory stage's due list (whose candidates
+// all carry memSlice, one per op). The admits are few and arrive in push
+// order, so they are put in order
 // with an insertion sort; the merge then runs from the back, moving only
 // the survivors younger than some admit.
 func mergeReady(r, a []cand) []cand {
@@ -366,9 +454,7 @@ func (s *Sim) tryIssueSlice(e *entry, sl int) bool {
 		e.execDone = true
 		s.iqCount--
 	}
-	if !e.isLoad {
-		s.wakeConsumers(e, sl) // a load's consumers wait for its memory access
-	}
+	s.sliceEvent(e, sl)
 	// A carry chain or in-order slice issue makes the next slice wait on
 	// this one; it is enqueued now if nothing else holds it back.
 	if nx := sl + 1; nx < e.nSlices && e.chainMask&(1<<nx) != 0 && e.unres[nx] == 0 {
@@ -384,22 +470,21 @@ func (s *Sim) tryIssueSlice(e *entry, sl int) bool {
 // replay wastes the unit just as the hardware (and the legacy scan)
 // would.
 func (s *Sim) tryIssueFull(e *entry) bool {
-	op := e.d.Inst.Op
-	cls := op.Class()
-	switch cls {
-	case isa.ClassIntMul:
+	fu := e.plan.fu
+	switch fu {
+	case fuMul:
 		if s.mulUsed >= s.cfg.IntMul {
 			return false
 		}
-	case isa.ClassIntDiv:
+	case fuDiv:
 		if s.divFree > s.now {
 			return false
 		}
-	case isa.ClassFP:
+	case fuFP:
 		if s.fpUsed >= s.cfg.FPALUs {
 			return false
 		}
-	case isa.ClassFPMulDiv:
+	case fuFPMulDiv:
 		if s.fpmdFree > s.now {
 			return false
 		}
@@ -408,14 +493,14 @@ func (s *Sim) tryIssueFull(e *entry) bool {
 			return false
 		}
 	}
-	switch cls {
-	case isa.ClassIntMul:
+	switch fu {
+	case fuMul:
 		s.mulUsed++
-	case isa.ClassIntDiv:
+	case fuDiv:
 		s.divFree = s.now + int64(e.fullLat)
-	case isa.ClassFP:
+	case fuFP:
 		s.fpUsed++
-	case isa.ClassFPMulDiv:
+	case fuFPMulDiv:
 		s.fpmdFree = s.now + int64(e.fullLat)
 	default:
 		s.issueUsed[0]++
@@ -437,8 +522,21 @@ func (s *Sim) tryIssueFull(e *entry) bool {
 		s.emit(telemetry.EvSliceIssue, e.seq, 0, s.criticalProducer(e, 0), 1)
 	}
 	s.onSliceExecuted(e, 0)
-	if !e.isLoad {
-		s.wakeConsumers(e, 0)
-	}
+	s.sliceEvent(e, 0)
 	return true
+}
+
+// sliceEvent fires the producer event of slice sl of e having issued. A
+// load's register consumers wait for its memory access instead; its own
+// address-generation progress may open its memory gate or, for a
+// deferred partial-tag access, complete the address it waits on.
+func (s *Sim) sliceEvent(e *entry, sl int) {
+	if e.isLoad {
+		s.loadAgenEvent(e)
+		return
+	}
+	s.wakeConsumers(e, sl)
+	if len(e.memConsumers) > 0 {
+		s.wakeMemConsumers(e, sl)
+	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"pok/internal/bitslice"
 	"pok/internal/emu"
-	"pok/internal/isa"
 	"pok/internal/telemetry"
 )
 
@@ -26,8 +25,8 @@ func (s *Sim) srcRange(e *entry, i, sl int) (lo, hi int) {
 	case i == e.amountSrc:
 		return 0, 1
 	}
-	lo, hi, _ = e.d.Inst.Op.InputSliceRange(sl, e.nSlices)
-	return lo, hi
+	r := e.plan.in[sl]
+	return int(r[0]), int(r[1])
 }
 
 // prodSlice maps slice k of an operand onto the slice of its non-load
@@ -74,7 +73,7 @@ func (s *Sim) srcAvail(e *entry, i, sl int, announce bool) int64 {
 		return inf
 	}
 	done := st.startC + int64(p.fullLat)
-	if s.cfg.SerialMul && p.d.Inst.Op.SliceProfile() == isa.SliceSerialMul {
+	if p.plan.has(planSerialMul) {
 		// Bit-serial product: slice sl emerges (nSlices-1-sl) cycles
 		// before the final slice, never earlier than one cycle in.
 		early := done - int64(s.cfg.Slices-1-min(sl, s.cfg.Slices-1))
@@ -90,9 +89,6 @@ func (s *Sim) srcAvail(e *entry, i, sl int, announce bool) int64 {
 // the slice-dependence profile, the carry chain, and in-order slice
 // issue when out-of-order slices are disabled.
 func (s *Sim) depsAvail(e *entry, sl int, announce bool) int64 {
-	if announce {
-		s.work.evals++
-	}
 	t := e.dispC + int64(s.cfg.RFStages) + 1 // earliest possible execute
 	if st := &e.slices[sl]; st.retryC > t {
 		t = st.retryC
@@ -140,12 +136,6 @@ func replayCause(act int64) int64 {
 		return telemetry.ReplayPendingAddr
 	}
 	return telemetry.ReplayLoadLatency
-}
-
-// needsAmount reports whether the op's first source is a shift amount
-// (variable shifts encode the amount in rs, which maps to source 0).
-func needsAmount(op isa.Op) bool {
-	return op == isa.OpSLLV || op == isa.OpSRLV || op == isa.OpSRAV
 }
 
 // criticalProducer identifies the dataflow edge that gated slice sl of e
@@ -239,14 +229,13 @@ func branchOperands(d *emu.DynInst) (a, b uint32) {
 // maybeResolveBranch updates resolution state after slice sl of a control
 // instruction has executed (its comparison result available at availC).
 func (s *Sim) maybeResolveBranch(e *entry, sl int, availC int64) {
-	op := e.d.Inst.Op
 	// Jumps and full-width control resolve when their single op executes.
 	if e.nSlices == 1 {
 		s.resolveBranchAt(e, availC, false)
 		return
 	}
 	a, b := branchOperands(&e.d)
-	if s.cfg.EarlyBranch && op.EqualityBranch() && e.mispred {
+	if s.cfg.EarlyBranch && e.plan.has(planEqBranch) && e.mispred {
 		// A mispredicted equality branch asserted the wrong relation. If
 		// the operands differ in this very slice, the comparison just
 		// performed refutes the prediction immediately.

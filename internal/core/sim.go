@@ -43,8 +43,9 @@ func (s *sliceState) avail() int64 {
 
 // entry is one in-flight instruction in the window (RUU).
 type entry struct {
-	d   emu.DynInst
-	seq uint64
+	d    emu.DynInst
+	seq  uint64
+	plan *opPlan // the op's decoded slice plan (Sim.plans)
 
 	fetchC     int64
 	dispC      int64
@@ -145,12 +146,28 @@ type entry struct {
 	// waits for; chainMask marks the slices that also wait on their own
 	// predecessor (a carry, or in-order slice issue). A slice enters the
 	// wakeup wheel once its count is zero and its predecessor (if any)
-	// has issued, so its wake time is evaluated exactly once. loadSrc
-	// records that some source is a load, the only producer whose
-	// speculative and ground-truth availability can differ.
+	// has issued, so its wake time is evaluated exactly once. inAt holds,
+	// per slice, the running maximum of the announced times of the
+	// inputs resolved so far (seeded with the earliest possible execute
+	// cycle): each producer event folds its time in, so once unres
+	// reaches zero the wake time is one max with the retry and chain
+	// terms. loadSrc records that some source is a load, the only
+	// producer whose speculative and ground-truth availability can
+	// differ.
 	unres     [8]uint8
+	inAt      [8]int64
 	chainMask uint8
 	loadSrc   bool
+
+	// Memory-stage wakeup (see memory.go). memUnres counts the producer
+	// events whose ground-truth times the op's memory gate still needs:
+	// a store's data operand, or, under SumAddressed, a load's base
+	// operand. memQueued marks a memory candidate in the wheel or the
+	// due list. memConsumers lists the memory ops waiting on this
+	// entry's events (for a load, its completion time becoming known).
+	memUnres     uint8
+	memQueued    bool
+	memConsumers []consRef
 
 	// lsqEnt points at lsqData while the op is in the LSQ, so the
 	// per-cycle store/load bookkeeping pays neither a lookup nor (since
@@ -245,12 +262,14 @@ type Sim struct {
 	injOn      bool // cfg.Inject != nil; gates fault-injection hooks
 	inj        Injector
 	tel        telemetry.Collector
-	wh         wakeWheel // bucketed timing wheel of slice-op wakeups
-	ready      []cand    // due candidates, kept sorted by (seq, slice)
-	admits     []cand    // candidates drained this cycle, merged into ready
-	memWatch   []*entry  // loads/stores still needing memory-stage attention
+	wh         wakeWheel // bucketed timing wheel of slice-op and memory wakeups
+	ready      []cand    // due slice candidates, kept sorted by (seq, slice)
+	admits     []cand    // slice candidates drained this cycle, merged into ready
+	memDue     []cand    // due memory candidates, kept sorted by seq
+	memAdmits  []cand    // memory candidates drained this cycle, merged into memDue
 	iqCount    int       // window entries with !execDone (issue-queue slots)
 	work       schedWork // scheduler work counters (tests only, off Result)
+	plans      [isa.NumOps]opPlan
 
 	// Entry pool: freeList holds recycled entries; retireQ holds
 	// committed/squashed entries whose recycling is deferred until no
@@ -293,11 +312,8 @@ type Sim struct {
 
 	// Quiet-cycle skipping (see skip.go). skipOK caches the gate: the
 	// event-driven scheduler without tracing/telemetry/invariant/injection
-	// observers may jump over provably-quiet cycles. memStarved records
-	// that a load lost cache-port arbitration this cycle and will retry
-	// next cycle, which makes the next cycle non-quiet.
-	skipOK     bool
-	memStarved bool
+	// observers may jump over provably-quiet cycles.
+	skipOK bool
 
 	// Architectural checkpointing (see ckpt.go). ckptEvery is the commit
 	// cadence (0 = off); nextCkpt the next commit mark; fetchPaused holds
@@ -327,53 +343,23 @@ func NewSim(prog *emu.Program, cfg Config, maxInsts uint64) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pred := bpred.NewDefault()
-	if cfg.UseBimodal {
-		pred.Dir = bpred.NewBimodal(16)
-	}
-	if cfg.UseLocal {
-		pred.Dir = bpred.NewLocal(12, 14)
-	}
 	var dtlb *cache.TLB
 	if cfg.UseDTLB {
 		dtlb = cache.DefaultDTLB()
 	}
 	s := &Sim{
-		cfg:        cfg,
-		em:         emu.New(prog),
-		pred:       pred,
-		dtlb:       dtlb,
-		hier:       cfg.Hierarchy(),
-		lsq:        lsq.New(cfg.LSQSize),
-		legacy:     cfg.LegacyScheduler,
-		tracing:    cfg.Trace != nil,
-		collecting: cfg.Collector != nil,
-		oracleOn:   cfg.Oracle != nil,
-		invOn:      cfg.Invariants != nil,
-		injOn:      cfg.Inject != nil,
-		inj:        cfg.Inject,
-		tel:        cfg.Collector,
-		maxInsts:   maxInsts,
-		divFree:    -1,
-		fpmdFree:   -1,
-		res:        Result{Config: cfg.Name},
+		cfg:      cfg,
+		em:       emu.New(prog),
+		pred:     newPredictor(&cfg),
+		dtlb:     dtlb,
+		hier:     cfg.Hierarchy(),
+		maxInsts: maxInsts,
+		divFree:  -1,
+		fpmdFree: -1,
+		res:      Result{Config: cfg.Name},
 	}
 	s.em.SetLegacy(cfg.LegacyEmulator)
-	s.wh.ovMin = inf
-	if !s.legacy {
-		// Pre-back every wheel bucket with a small slice of one shared
-		// array: as simulated time wraps the ring, each bucket would
-		// otherwise pay its own first-append allocations.
-		backing := make([]cand, wheelHorizon*4)
-		for i := range s.wh.bucket {
-			s.wh.bucket[i] = backing[i*4 : i*4 : (i+1)*4]
-		}
-	}
-	// Quiet-cycle skipping requires the event-driven scheduler (the legacy
-	// scan is the per-cycle reference) and no per-cycle observers: tracing,
-	// telemetry sampling and the invariant checker all want to see every
-	// cycle, and fault injection may retime decisions cycle by cycle.
-	s.skipOK = !s.legacy && !s.tracing && !s.collecting && !s.invOn && !s.injOn
+	s.finishInit()
 	return s, nil
 }
 
@@ -389,8 +375,9 @@ func (s *Sim) allocEntry() *entry {
 		e := s.freeList[n-1]
 		s.freeList[n-1] = nil
 		s.freeList = s.freeList[:n-1]
-		gen, cons := e.gen, e.consumers[:0]
-		*e = entry{gen: gen, consumers: cons}
+		gen, cons, mcons := e.gen, e.consumers[:0], e.memConsumers[:0]
+		*e = entry{}
+		e.gen, e.consumers, e.memConsumers = gen, cons, mcons
 		return e
 	}
 	return new(entry)
@@ -579,14 +566,13 @@ func (s *Sim) cycle() (int, error) {
 	s.aluUsed = [8]int{}
 	s.issueUsed = [8]int{}
 	s.mulUsed, s.fpUsed, s.portsUsed = 0, 0, 0
-	s.memStarved = false
 	if !s.legacy {
-		// Re-anchor the wheel at the cycle being simulated: wakeups pushed
-		// by this cycle's earlier stages (the memory stage completing a
-		// load) with wake <= now must land in the bucket schedule() is
-		// about to drain. After a quiet-cycle skip, every bucket between
-		// the old base and now is provably empty (the skip never jumps
-		// past the wheel's earliest wake).
+		// Re-anchor the wheel at the cycle being simulated, whose bucket
+		// memoryStage drains first thing (commit pushes nothing). Every
+		// wakeup a later stage pushes lies at least one cycle ahead. After
+		// a quiet-cycle skip, every bucket between the old base and now
+		// is provably empty (the skip never jumps past the wheel's
+		// earliest wake).
 		s.wh.base = s.now
 	}
 

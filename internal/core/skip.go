@@ -1,16 +1,15 @@
 package core
 
-import "pok/internal/isa"
-
-// Quiet-cycle skipping: the wakeup-wheel idea extended to fetch, dispatch,
-// commit and the memory stage. After a cycle in which the front end is
-// stalled and no candidate is ready, every future state change is pinned
-// to a computable event time — the earliest wheel wakeup, a branch's
-// resolveC, the I-cache refill, the front entry's commit-ready time, a
-// store's data arrival, a load's address-generation gate, the front-end
-// latency of the next dispatch — so the simulator can jump s.now straight
-// to the earliest such event instead of iterating cycles that provably do
-// nothing. Stall counters that the per-cycle loop would have incremented
+// Quiet-cycle skipping: the wakeup-wheel idea extended to fetch, dispatch
+// and commit. After a cycle in which the front end is stalled and no
+// slice-op or memory op is due, every future state change is pinned to a
+// computable event time — the earliest wheel wakeup (slice-ops, and the
+// memory stage's store data arrivals, load address gates and deferred
+// partial-tag completions), a branch's resolveC, the I-cache refill, the
+// front entry's commit-ready time, the front-end latency of the next
+// dispatch — so the simulator can jump s.now straight to the earliest
+// such event instead of iterating cycles that provably do nothing.
+// Stall counters that the per-cycle loop would have incremented
 // during the jumped-over cycles are bulk-added, replicating the
 // first-matching-condition priority of fetch() and dispatch().
 //
@@ -28,9 +27,10 @@ func (s *Sim) nextCycle(lastCommit, budget int64) int64 {
 	if !s.skipOK {
 		return noSkip
 	}
-	// A ready candidate retries arbitration every cycle; a port-starved
-	// load retries next cycle. Either makes the next cycle non-quiet.
-	if len(s.ready) > 0 || s.memStarved {
+	// A ready slice-op retries arbitration every cycle; a due load that
+	// lost cache-port arbitration or disambiguation retries next cycle.
+	// Either makes the next cycle non-quiet.
+	if len(s.ready) > 0 || len(s.memDue) > 0 {
 		return noSkip
 	}
 
@@ -82,7 +82,7 @@ func (s *Sim) nextCycle(lastCommit, budget int64) int64 {
 				dispCtr = &s.res.StallWindowFull
 			case s.cfg.IssueQueueSize > 0 && s.iqCount >= s.cfg.IssueQueueSize:
 				dispCtr = &s.res.StallIQFull
-			case front.d.Inst.Op.Class() == isa.ClassSyscall && s.window.Len() > 0 && !front.wp:
+			case front.plan.has(planSyscall) && s.window.Len() > 0 && !front.wp:
 				// Serialized syscall: drains via commit events, uncounted.
 			case (front.isLoad || front.isStore) && s.lsq.Full():
 				dispCtr = &s.res.StallLSQFull
@@ -92,9 +92,10 @@ func (s *Sim) nextCycle(lastCommit, budget int64) int64 {
 		}
 	}
 
-	// Scheduler events: the earliest wheel wakeup. Slice-ops not yet in
-	// the wheel are enqueued by producer events, which are themselves
-	// wheel or memory events already bounding the jump.
+	// Scheduler and memory-stage events: the earliest wheel wakeup.
+	// Slice-ops and memory ops not yet in the wheel are queued by
+	// producer events, which are themselves wheel events already
+	// bounding the jump.
 	if t := s.wh.min(); t < target {
 		target = t
 	}
@@ -105,49 +106,6 @@ func (s *Sim) nextCycle(lastCommit, budget int64) int64 {
 	if s.window.Len() > 0 {
 		if t := s.frontDoneC(s.window.Front()); t < target {
 			target = t
-		}
-	}
-
-	// Memory-stage events: stores waiting on data, loads waiting on
-	// address generation, and partial-tag loads whose completion time
-	// becomes computable next cycle.
-	for _, e := range s.memWatch {
-		if e.committed || e.squashed {
-			continue
-		}
-		if e.isStore && e.lsqInserted {
-			if q := e.lsqEnt; q != nil && !q.DataReady {
-				if t := s.storeDataReadyC(e); t < target {
-					target = t
-				}
-			}
-		}
-		if !e.isLoad {
-			continue
-		}
-		if !e.memIssued && e.lsqInserted {
-			partialC, fullC := s.agenTimes(e)
-			gate := fullC
-			if s.cfg.PartialTag {
-				gate = partialC
-			}
-			if gate <= s.now {
-				// The load is issueable now but did not issue: either it
-				// lost disambiguation this cycle, or its address became
-				// known during schedule() after the memory stage had
-				// already run. Both retry next cycle and may succeed —
-				// the blocking store's state can have changed this very
-				// cycle, so no future event bounds the retry.
-				return noSkip
-			}
-			if gate < target {
-				target = gate
-			}
-		}
-		if e.memIssued && e.memPendFull != pendNone {
-			if _, fullC := s.agenTimes(e); fullC < inf {
-				return noSkip // completion finalizes next memory stage
-			}
 		}
 	}
 
@@ -192,25 +150,6 @@ func (s *Sim) frontDoneC(e *entry) int64 {
 		}
 		if e.resolveC > t {
 			t = e.resolveC
-		}
-	}
-	return t
-}
-
-// storeDataReadyC returns the cycle checkStoreData will mark the store's
-// data forwardable: the ground-truth availability of every slice of the
-// data operand, or inf while a producer's completion is unknown.
-func (s *Sim) storeDataReadyC(e *entry) int64 {
-	if e.dataSrc < 0 {
-		return s.now // degenerate ($zero data): already marked this cycle
-	}
-	var t int64
-	for k := 0; k < s.cfg.Slices; k++ {
-		if a := s.srcAvail(e, e.dataSrc, k, false); a > t {
-			t = a
-			if t >= inf {
-				return inf
-			}
 		}
 	}
 	return t
