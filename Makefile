@@ -38,8 +38,8 @@ vet:
 	fi
 
 # Checked runs: every workload against the lockstep oracle, the
-# invariant checker and the deadlock watchdog, on both schedulers, with
-# a seeded fault-injection campaign the machine must recover from —
+# invariant checker and the deadlock watchdog, with a seeded
+# fault-injection campaign the machine must recover from —
 # then one deliberate corruption and one wedge to prove the detectors
 # themselves fire (those two runs MUST fail).
 check:
@@ -65,7 +65,7 @@ fuzz-smoke:
 # bundle under soak-out/repros/.
 soak-smoke:
 	$(GO) run ./cmd/pok-soak -duration 15s -seed 1 -configs slice2,slice4 \
-		-scheduler both -out soak-out -q
+		-out soak-out -q
 
 soak:
 	$(GO) run ./cmd/pok-soak -duration 90s -seeds 3 -inject-seeds 1 \

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	pok-check -bench gzip -config slice2 -insts 200000
-//	pok-check -all -inject -seed 1 -scheduler both
+//	pok-check -all -inject -seed 1
 //	pok-check -bench li -corrupt 1000        # prove divergence detection
 //	pok-check -bench li -wedge 500           # prove the deadlock watchdog
 //	pok-check -prog repro.s -config slice2   # replay a soak repro bundle
@@ -57,7 +57,6 @@ func main() {
 	progFile := flag.String("prog", "", "assemble and check this .s file instead of -bench (repro-bundle replay)")
 	all := flag.Bool("all", false, "run every benchmark in the suite")
 	cfgNames := flag.String("config", "slice2", "comma-separated machine configs: base, simple2, simple4, slice2, slice4")
-	sched := flag.String("scheduler", "both", "scheduler(s) to run: event, legacy, both")
 	insts := flag.Uint64("insts", 200_000, "instruction budget per run (0 = to completion)")
 	seed := flag.Uint64("seed", 1, "first injection seed")
 	seeds := flag.Int("seeds", 1, "number of consecutive seeds to run (seed matrix)")
@@ -106,18 +105,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("need -bench, -prog or -all"))
 	}
-	var schedulers []bool // LegacyScheduler values
-	switch *sched {
-	case "both":
-		schedulers = []bool{false, true}
-	case "event":
-		schedulers = []bool{false}
-	case "legacy":
-		schedulers = []bool{true}
-	default:
-		fatal(fmt.Errorf("unknown -scheduler %q (event, legacy, both)", *sched))
-	}
-
 	// First SIGINT/SIGTERM drains the in-flight run to its commit
 	// frontier and emits everything collected so far as a partial
 	// result; a second signal kills. The stop trigger of whichever run
@@ -167,67 +154,63 @@ matrix:
 			if err != nil {
 				fatal(err)
 			}
-			for _, legacy := range schedulers {
-				for s := 0; s < *seeds; s++ {
-					if stopReq.Load() {
-						interrupted = true
-						break matrix
-					}
-					runSeed := *seed + uint64(s)
-					cfg := cfg
-					cfg.LegacyScheduler = legacy
-					opts := pok.CheckOptions{
-						Benchmark: tgt.name,
-						Warmup:    warmup,
-						MaxInsts:  *insts,
-						Invariants: &pok.InvariantConfig{
-							DeadlockBudget: *deadlockBudget,
-						},
-						OnStart: func(stop func(reason string)) {
-							stopMu.Lock()
-							stopFn = stop
-							stopMu.Unlock()
-							if stopReq.Load() {
-								stop("signal interrupt")
-							}
-						},
-					}
-					var inj *pok.FaultInjector
-					if *injectOn || *wedge >= 0 || *corrupt >= 0 {
-						iopt := pok.InjectOptions{Seed: runSeed}
-						if *injectOn {
-							iopt.SliceFlipRate = *flipRate
-							iopt.WayMissRate = *wayRate
-							iopt.ConflictRate = *conflictRate
-							iopt.StormEvery = *stormEvery
-							iopt.StormLen = *stormLen
+			for s := 0; s < *seeds; s++ {
+				if stopReq.Load() {
+					interrupted = true
+					break matrix
+				}
+				runSeed := *seed + uint64(s)
+				opts := pok.CheckOptions{
+					Benchmark: tgt.name,
+					Warmup:    warmup,
+					MaxInsts:  *insts,
+					Invariants: &pok.InvariantConfig{
+						DeadlockBudget: *deadlockBudget,
+					},
+					OnStart: func(stop func(reason string)) {
+						stopMu.Lock()
+						stopFn = stop
+						stopMu.Unlock()
+						if stopReq.Load() {
+							stop("signal interrupt")
 						}
-						if *wedge >= 0 {
-							iopt.WedgeOn, iopt.WedgeSeq = true, uint64(*wedge)
-						}
-						if *corrupt >= 0 {
-							iopt.CorruptOn, iopt.CorruptAt = true, uint64(*corrupt)
-						}
-						inj = pok.NewInjector(iopt)
-						opts.Injector = inj
+					},
+				}
+				var inj *pok.FaultInjector
+				if *injectOn || *wedge >= 0 || *corrupt >= 0 {
+					iopt := pok.InjectOptions{Seed: runSeed}
+					if *injectOn {
+						iopt.SliceFlipRate = *flipRate
+						iopt.WayMissRate = *wayRate
+						iopt.ConflictRate = *conflictRate
+						iopt.StormEvery = *stormEvery
+						iopt.StormLen = *stormLen
 					}
-					rep, err := pok.RunChecked(prog, cfg, opts)
-					if err != nil {
-						fatal(err)
+					if *wedge >= 0 {
+						iopt.WedgeOn, iopt.WedgeSeq = true, uint64(*wedge)
 					}
-					rep.Seed = runSeed
-					reports = append(reports, rep)
-					if inj != nil {
-						totalFaults += inj.Total()
+					if *corrupt >= 0 {
+						iopt.CorruptOn, iopt.CorruptAt = true, uint64(*corrupt)
 					}
-					printLine(rep, inj)
-					if !rep.OK {
-						failures++
-					}
-					if rep.Stopped {
-						interrupted = true
-						break matrix
-					}
+					inj = pok.NewInjector(iopt)
+					opts.Injector = inj
+				}
+				rep, err := pok.RunChecked(prog, cfg, opts)
+				if err != nil {
+					fatal(err)
+				}
+				rep.Seed = runSeed
+				reports = append(reports, rep)
+				if inj != nil {
+					totalFaults += inj.Total()
+				}
+				printLine(rep, inj)
+				if !rep.OK {
+					failures++
+				}
+				if rep.Stopped {
+					interrupted = true
+					break matrix
 				}
 			}
 		}
@@ -268,8 +251,8 @@ func printLine(r *pok.CheckReport, inj *pok.FaultInjector) {
 	if inj != nil {
 		faults = inj.Total()
 	}
-	fmt.Printf("%s %-8s %-8s %-6s seed=%d insts=%d cycles=%d replays=%d faults=%d",
-		status, r.Benchmark, r.Config, r.Scheduler, r.Seed, r.Insts, r.Cycles,
+	fmt.Printf("%s %-8s %-8s seed=%d insts=%d cycles=%d replays=%d faults=%d",
+		status, r.Benchmark, r.Config, r.Seed, r.Insts, r.Cycles,
 		r.Replays, faults)
 	if !r.OK {
 		fmt.Printf(" kind=%s", r.FailKind)

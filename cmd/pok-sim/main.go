@@ -8,11 +8,14 @@
 //	pok-sim -bench gcc -config slice4 -telemetry -events dump.jsonl
 //	pok-sim -bench gzip -config slice4 -prof
 //
-// -telemetry prints the per-stage occupancy/stall summary after the
-// run; -events writes the structured pipeline event stream as JSONL
-// with a self-describing meta header (render it with pok-trace,
-// analyse it with pok-prof); -prof chains the cycle-accounting
-// profiler onto the recorder and prints the run's CPI stack.
+// -trace renders the recorded event stream as a per-instruction
+// pipeline wavefront (fetch, dispatch, slice issue, memory, resolve,
+// commit; see pok-trace) on stderr; -telemetry prints the per-stage
+// occupancy/stall summary after the run; -events writes the structured
+// pipeline event stream as JSONL with a self-describing meta header
+// (render it with pok-trace, analyse it with pok-prof); -prof chains
+// the cycle-accounting profiler onto the recorder and prints the run's
+// CPI stack.
 //
 // Long runs are crash-safe: -ckpt-every drains the pipeline every N
 // committed instructions and writes a verified architectural snapshot
@@ -60,7 +63,7 @@ func main() {
 	asmFile := flag.String("asm", "", "assembly source file to simulate instead of a benchmark")
 	cfgName := flag.String("config", "base", "machine config: base, simple2, simple4, slice2, slice4")
 	insts := flag.Uint64("insts", 300_000, "instruction budget (0 = run to completion)")
-	trace := flag.Bool("trace", false, "emit a pipeline event trace to stderr")
+	trace := flag.Bool("trace", false, "render the pipeline wavefront of the recorded events to stderr")
 	telemetry := flag.Bool("telemetry", false, "collect structured telemetry and print the per-stage summary")
 	events := flag.String("events", "", "write the telemetry event stream to this JSONL file (implies -telemetry)")
 	ringCap := flag.Int("events-cap", 0, "event ring capacity (0 = default; oldest events drop beyond it)")
@@ -85,11 +88,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *trace {
-		cfg.Trace = os.Stderr
-	}
 	var rec *pok.TelemetryRecorder
-	if *telemetry || *events != "" || *prof {
+	if *trace || *telemetry || *events != "" || *prof {
 		rec = cfg.NewRecorder(*ringCap)
 		cfg.Collector = rec
 	}
@@ -213,12 +213,18 @@ func main() {
 		fmt.Println()
 		fmt.Print(st.Render())
 	}
-	if *events != "" && rec != nil {
-		evs := rec.Events()
-		dropped := rec.Dropped()
-		if lc != nil {
-			evs, dropped = lc.Events(), 0 // profiler copy is lossless
-		}
+	if rec == nil {
+		return
+	}
+	evs := rec.Events()
+	dropped := rec.Dropped()
+	if lc != nil {
+		evs, dropped = lc.Events(), 0 // profiler copy is lossless
+	}
+	if *trace {
+		fmt.Fprint(os.Stderr, pok.RenderTimeline(evs, pok.TimelineOptions{}))
+	}
+	if *events != "" {
 		meta := &pok.EventDumpMeta{
 			Benchmark: r.Benchmark, Config: *cfgName,
 			Insts: r.Insts, Cycles: r.Cycles, Dropped: dropped,

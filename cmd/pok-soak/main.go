@@ -1,8 +1,8 @@
 // pok-soak runs the random-program differential soak: seeded generated
 // PISA programs (internal/gen) execute under emulator-vs-core lockstep
-// verification across a machine-config × scheduler × injection-seed
-// matrix; any divergence, invariant violation, deadlock, panic or
-// timeout is delta-debugged to a minimal program and written out as a
+// verification across a machine-config × injection-seed matrix; any
+// divergence, invariant violation, deadlock, panic or timeout is
+// delta-debugged to a minimal program and written out as a
 // self-contained repro bundle (prog.s + repro.json, replayable with
 // `pok-check -prog`). The soak frontier is checkpointed so multi-hour
 // runs survive interruption and continue with -resume.
@@ -54,7 +54,6 @@ func main() {
 	seeds := flag.Int("seeds", 1, "number of consecutive base seeds to soak")
 	duration := flag.Duration("duration", 0, "time box per base seed (0 = use -programs)")
 	configs := flag.String("configs", "simple4,slice2,slice4", "comma-separated machine configs")
-	sched := flag.String("scheduler", "both", "scheduler(s): event, legacy, both")
 	insts := flag.Uint64("insts", 0, "instruction budget per run (0 = to completion)")
 	watchdog := flag.Duration("watchdog", 30*time.Second, "per-run wall-clock watchdog")
 	retries := flag.Int("retries", 1, "retries for a timed-out run before recording it")
@@ -87,15 +86,6 @@ func main() {
 	}
 	if *submit != "" && *programs <= 0 {
 		fatal(fmt.Errorf("-submit needs -programs (fleet cells are count-sharded, not time-boxed)"))
-	}
-	var schedulers []string
-	switch *sched {
-	case "both":
-		schedulers = []string{"event", "legacy"}
-	case "event", "legacy":
-		schedulers = []string{*sched}
-	default:
-		fatal(fmt.Errorf("unknown -scheduler %q (event, legacy, both)", *sched))
 	}
 
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -152,7 +142,6 @@ func main() {
 			Programs:        *programs,
 			Duration:        *duration,
 			Configs:         strings.Split(*configs, ","),
-			Schedulers:      schedulers,
 			InjectSeeds:     *injectSeeds,
 			Inject:          injOpts,
 			MaxInsts:        *insts,
@@ -225,8 +214,8 @@ func main() {
 		fmt.Printf("seed %d: %d programs, %d runs, %d findings -> %s\n",
 			base, rep.Programs, rep.Runs, len(rep.Findings), path)
 		for _, f := range rep.Findings {
-			fmt.Printf("  FINDING p%04d %s/%s kind=%s field=%s reduced=%d bundle=%s\n",
-				f.Program, f.Config, f.Scheduler, f.Kind, f.Field,
+			fmt.Printf("  FINDING p%04d %s kind=%s field=%s reduced=%d bundle=%s\n",
+				f.Program, f.Config, f.Kind, f.Field,
 				f.ReducedInsts, f.Bundle)
 		}
 		if deduped := rep.Deduped(); len(deduped) > 0 {
@@ -271,7 +260,6 @@ func submitCampaign(url string, opts soak.Options, cellPrograms int) (*soak.Repo
 		BaseSeed:       opts.BaseSeed,
 		Programs:       opts.Programs,
 		Configs:        opts.Configs,
-		Schedulers:     opts.Schedulers,
 		InjectSeeds:    opts.InjectSeeds,
 		Inject:         opts.Inject,
 		Hook:           opts.Hook,

@@ -30,18 +30,18 @@ func runChecked(t *testing.T, name string, cfg core.Config, opts check.Options) 
 }
 
 // TestCheckedCleanRuns holds three workloads to the lockstep oracle and
-// the invariant checker under both schedulers: the machine must commit
-// the reference's exact architectural stream with no violations.
+// the invariant checker with the core fed by either emulator: the
+// machine must commit the reference's exact architectural stream with
+// no violations.
 func TestCheckedCleanRuns(t *testing.T) {
 	t.Parallel()
 	for _, bench := range []string{"gzip", "li", "mcf"} {
 		for _, legacy := range []bool{false, true} {
-			bench, legacy := bench, legacy
-			name := bench + "/" + schedName(legacy)
+			name := bench + "/" + emuName(legacy)
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
 				cfg := core.BitSliced(2)
-				cfg.LegacyScheduler = legacy
+				cfg.LegacyEmulator = legacy
 				rep := runChecked(t, bench, cfg, check.Options{MaxInsts: 60_000})
 				if !rep.OK {
 					t.Fatalf("checked run failed: %s\n%s", rep.FailKind, rep.Error)
@@ -54,7 +54,10 @@ func TestCheckedCleanRuns(t *testing.T) {
 	}
 }
 
-func schedName(legacy bool) string {
+// emuName labels a run by the emulator feeding the core: "legacy" for
+// the switch interpreter, "event" for the default machine (the fast
+// emulator under the event scheduler).
+func emuName(legacy bool) string {
 	if legacy {
 		return "legacy"
 	}
@@ -99,9 +102,9 @@ func TestCheckedHooksPreserveResult(t *testing.T) {
 
 // TestInjectionRecovery hammers the machine with every recoverable fault
 // kind at once — slice flips, forced way mispredicts, fake
-// disambiguation conflicts — on both schedulers and (for the event
-// scheduler) with wrong-path fetch on. The machine must recover from
-// every fault to an oracle-identical commit stream.
+// disambiguation conflicts — on the default machine, with the core fed
+// by the legacy emulator, and with wrong-path fetch on. The machine must
+// recover from every fault to an oracle-identical commit stream.
 func TestInjectionRecovery(t *testing.T) {
 	t.Parallel()
 	type variant struct {
@@ -118,7 +121,7 @@ func TestInjectionRecovery(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
 			cfg := core.BitSliced(2)
-			cfg.LegacyScheduler = v.legacy
+			cfg.LegacyEmulator = v.legacy
 			cfg.WrongPath = v.wrongPath
 			inj := inject.New(inject.Options{
 				Seed:          7,
@@ -147,15 +150,16 @@ func TestInjectionRecovery(t *testing.T) {
 
 // TestReplayStormRecovery drives periodic bursts where every slice of
 // consecutive instructions is corrupted at first issue — a worst-case
-// pile-up of simultaneous replays — on the slice-by-4 machine.
+// pile-up of simultaneous replays — on the slice-by-4 machine, fed by
+// either emulator.
 func TestReplayStormRecovery(t *testing.T) {
 	t.Parallel()
 	for _, legacy := range []bool{false, true} {
 		legacy := legacy
-		t.Run(schedName(legacy), func(t *testing.T) {
+		t.Run(emuName(legacy), func(t *testing.T) {
 			t.Parallel()
 			cfg := core.BitSliced(4)
-			cfg.LegacyScheduler = legacy
+			cfg.LegacyEmulator = legacy
 			inj := inject.New(inject.Options{
 				Seed:       11,
 				StormEvery: 1_000,

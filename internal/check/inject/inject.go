@@ -1,8 +1,7 @@
 // Package inject implements the deterministic fault injector behind
 // core.Config.Inject. Every decision is a pure function of (Seed,
 // sequence number, slice, fault kind) — independent of call order or
-// call count — so a fault campaign replays identically given the same
-// seed, on either scheduler.
+// call count — so a fault campaign replays identically given its seed.
 //
 // All injected faults perturb *speculation only*: a flipped slice result
 // is caught at issue verify and replays; a forced MRU way miss takes the

@@ -71,7 +71,6 @@ type FaultCounter interface {
 type Report struct {
 	Benchmark string `json:"benchmark,omitempty"`
 	Config    string `json:"config"`
-	Scheduler string `json:"scheduler"`
 	Seed      uint64 `json:"seed,omitempty"`
 
 	Insts   uint64  `json:"insts"`
@@ -135,7 +134,6 @@ func RunChecked(prog *emu.Program, cfg core.Config, opts Options) (*Report, erro
 	rep := &Report{
 		Benchmark: opts.Benchmark,
 		Config:    cfg.Name,
-		Scheduler: schedulerName(cfg),
 	}
 	var oracle *Oracle
 	var err error
@@ -236,13 +234,6 @@ func RunChecked(prog *emu.Program, cfg core.Config, opts Options) (*Report, erro
 		rep.Trace = traceWindow(rec.Events(), failSeq, radius)
 	}
 	return rep, nil
-}
-
-func schedulerName(cfg core.Config) string {
-	if cfg.LegacyScheduler {
-		return "legacy"
-	}
-	return "event"
 }
 
 // traceWindow renders the telemetry events near the failing instruction:

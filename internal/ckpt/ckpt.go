@@ -30,15 +30,14 @@ import (
 // any other version with *VersionError — checkpoint files are exact
 // machine state, so cross-version compatibility shims would silently
 // break the bit-identical-resume guarantee.
-const Version = 1
+const Version = 2
 
 // Meta identifies a snapshot: which run it belongs to (benchmark,
-// config, scheduler, emulator flavor), where in the run it was taken,
+// config, emulator flavor), where in the run it was taken,
 // and its position in a delta chain.
 type Meta struct {
 	Benchmark string
 	Config    string
-	Scheduler string // "event" | "legacy"
 	Emulator  string // "fast" | "legacy"
 
 	// Insts/Cycles locate the capture point: committed instructions and

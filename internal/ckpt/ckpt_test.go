@@ -1,6 +1,7 @@
 package ckpt_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -65,8 +66,8 @@ func sampleSnapshot(delta bool) *ckpt.Snapshot {
 	}
 	meta := ckpt.Meta{
 		Benchmark: "li", Config: "bit-slice-x4",
-		Scheduler: "event", Emulator: "fast",
-		Insts: 50_000, Cycles: 61_234, ID: 4,
+		Emulator: "fast",
+		Insts:    50_000, Cycles: 61_234, ID: 4,
 	}
 	if delta {
 		meta.BaseID = 3
@@ -156,16 +157,21 @@ func TestDecodeBitFlips(t *testing.T) {
 	}
 }
 
+// TestDecodeVersionMismatch: a file of any other format version —
+// version 1, which still carried a scheduler name in its meta section,
+// or a garbled one — is refused with *VersionError.
 func TestDecodeVersionMismatch(t *testing.T) {
-	data := ckpt.Encode(sampleSnapshot(false))
-	data[4] ^= 0xFF // little-endian version field
-	_, err := ckpt.Decode(data)
-	var ve *ckpt.VersionError
-	if !errors.As(err, &ve) {
-		t.Fatalf("got %T (%v), want *VersionError", err, err)
-	}
-	if ve.Want != ckpt.Version {
-		t.Errorf("VersionError.Want = %d", ve.Want)
+	for _, v := range []uint32{1, ckpt.Version ^ 0xFF} {
+		data := ckpt.Encode(sampleSnapshot(false))
+		binary.LittleEndian.PutUint32(data[4:8], v) // version field
+		_, err := ckpt.Decode(data)
+		var ve *ckpt.VersionError
+		if !errors.As(err, &ve) {
+			t.Fatalf("version %d: got %T (%v), want *VersionError", v, err, err)
+		}
+		if ve.Got != v || ve.Want != ckpt.Version {
+			t.Errorf("version %d: VersionError{Got: %d, Want: %d}", v, ve.Got, ve.Want)
+		}
 	}
 }
 

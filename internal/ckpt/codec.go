@@ -328,7 +328,6 @@ func encodeMeta(m *Meta) []byte {
 	var w writer
 	w.str(m.Benchmark)
 	w.str(m.Config)
-	w.str(m.Scheduler)
 	w.str(m.Emulator)
 	w.u64(m.Insts)
 	w.u64(uint64(m.Cycles))
@@ -342,7 +341,6 @@ func decodeMeta(b []byte, m *Meta) error {
 	r := &reader{b: b}
 	m.Benchmark = r.str()
 	m.Config = r.str()
-	m.Scheduler = r.str()
 	m.Emulator = r.str()
 	m.Insts = r.u64()
 	m.Cycles = int64(r.u64())

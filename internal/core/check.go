@@ -166,7 +166,7 @@ func (s *Sim) dumpWindow(max int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cycle %d: window=%d/%d lsq=%d/%d iq=%d fetchBuf=%d\n",
 		s.now, s.window.Len(), s.cfg.WindowSize, s.lsq.Len(), s.cfg.LSQSize,
-		s.iqOccupancy(), s.fetchBuf.Len())
+		s.iqCount, s.fetchBuf.Len())
 	n := s.window.Len()
 	if n > max {
 		n = max

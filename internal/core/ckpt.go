@@ -94,16 +94,9 @@ func (s *Sim) quiescent() bool {
 		len(s.memDue) == 0 && s.lsq.Len() == 0 && len(s.ready) == 0
 }
 
-// schedulerKind/emulatorKind name the run flavor for Meta.
-func (s *Sim) schedulerKind() string {
-	if s.legacy {
-		return "legacy"
-	}
-	return "event"
-}
-
-func (s *Sim) emulatorKind() string {
-	if s.cfg.LegacyEmulator {
+// emulatorKind names the emulator flavor for Meta.
+func emulatorKind(cfg *Config) string {
+	if cfg.LegacyEmulator {
 		return "legacy"
 	}
 	return "fast"
@@ -183,8 +176,7 @@ func (s *Sim) captureSnapshot(full bool) (*ckpt.Snapshot, error) {
 		Meta: ckpt.Meta{
 			Benchmark: s.ckptBench,
 			Config:    s.cfg.Name,
-			Scheduler: s.schedulerKind(),
-			Emulator:  s.emulatorKind(),
+			Emulator:  emulatorKind(&s.cfg),
 			Insts:     s.res.Insts,
 			Cycles:    s.now,
 		},
@@ -227,7 +219,7 @@ func (s *Sim) captureSnapshot(full bool) (*ckpt.Snapshot, error) {
 
 // NewSimFromSnapshot rebuilds a simulation mid-run from a full (chain-
 // resolved) snapshot. cfg must describe the same machine the snapshot
-// was taken under — same config name, scheduler and emulator flavor, and
+// was taken under — same config name and emulator flavor, and
 // the same observer set (oracle, invariants, injector, collector); the
 // run-identity fields are verified here, the rest is the caller's
 // contract. maxInsts is the absolute committed-instruction budget, as in
@@ -253,19 +245,7 @@ func NewSimFromSnapshot(snap *ckpt.Snapshot, cfg Config, maxInsts uint64) (*Sim,
 		return nil, fmt.Errorf("core: snapshot taken under config %q, resuming with %q",
 			snap.Meta.Config, cfg.Name)
 	}
-	sched := "event"
-	if cfg.LegacyScheduler {
-		sched = "legacy"
-	}
-	if snap.Meta.Scheduler != sched {
-		return nil, fmt.Errorf("core: snapshot taken under %s scheduler, resuming with %s",
-			snap.Meta.Scheduler, sched)
-	}
-	emuKind := "fast"
-	if cfg.LegacyEmulator {
-		emuKind = "legacy"
-	}
-	if snap.Meta.Emulator != emuKind {
+	if emuKind := emulatorKind(&cfg); snap.Meta.Emulator != emuKind {
 		return nil, fmt.Errorf("core: snapshot taken under %s emulator, resuming with %s",
 			snap.Meta.Emulator, emuKind)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -14,8 +13,7 @@ import (
 // The differential half of the checkpoint layer: a run resumed from any
 // snapshot must be bit-identical — every Result counter, every snapshot
 // it writes afterwards, every telemetry event — to an uninterrupted run
-// with the same checkpoint cadence, on both schedulers and both
-// emulator flavors.
+// with the same checkpoint cadence, under both emulator flavors.
 
 // captureSink keeps every snapshot (always full, so each is
 // self-contained and resumable) and can request a stop after the Nth
@@ -83,58 +81,46 @@ func resumeCkpt(t *testing.T, snap *ckpt.Snapshot, cfg Config, maxInsts, every u
 }
 
 // TestResumeBitIdentical kills a checkpointing run at every snapshot and
-// resumes it, across the scheduler × emulator matrix. The resumed run's
-// Result and every snapshot it writes afterwards must be byte-identical
-// to the uninterrupted reference with the same cadence.
+// resumes it, under each emulator flavor. The resumed run's Result and
+// every snapshot it writes afterwards must be byte-identical to the
+// uninterrupted reference with the same cadence.
 func TestResumeBitIdentical(t *testing.T) {
 	const maxInsts = 10_000
 	const every = 2_500
 	w := workload.MustGet("li")
-	for _, sched := range []bool{false, true} {
-		for _, legacyEmu := range []bool{false, true} {
-			sched, legacyEmu := sched, legacyEmu
-			name := fmt.Sprintf("sched=%v/emu=%v", schedName(sched), emuName(legacyEmu))
-			t.Run(name, func(t *testing.T) {
-				t.Parallel()
-				cfg := BitSliced(4)
-				cfg.LegacyScheduler = sched
-				cfg.LegacyEmulator = legacyEmu
-				ref := &captureSink{}
-				refRes := runCkpt(t, w, cfg, maxInsts, every, ref)
-				if len(ref.snaps) == 0 {
-					t.Fatal("reference run wrote no snapshots")
+	for _, legacyEmu := range []bool{false, true} {
+		t.Run("sched=event/emu="+emuName(legacyEmu), func(t *testing.T) {
+			t.Parallel()
+			cfg := BitSliced(4)
+			cfg.LegacyEmulator = legacyEmu
+			ref := &captureSink{}
+			refRes := runCkpt(t, w, cfg, maxInsts, every, ref)
+			if len(ref.snaps) == 0 {
+				t.Fatal("reference run wrote no snapshots")
+			}
+			for i, snap := range ref.snaps {
+				got := &captureSink{}
+				res := resumeCkpt(t, snap, cfg, maxInsts, every, got)
+				if *res != *refRes {
+					t.Errorf("resume from snapshot %d (insts=%d): Result diverges\nref:\n%s\ngot:\n%s",
+						i, snap.Meta.Insts, refRes.Summary(), res.Summary())
 				}
-				for i, snap := range ref.snaps {
-					got := &captureSink{}
-					res := resumeCkpt(t, snap, cfg, maxInsts, every, got)
-					if *res != *refRes {
-						t.Errorf("resume from snapshot %d (insts=%d): Result diverges\nref:\n%s\ngot:\n%s",
-							i, snap.Meta.Insts, refRes.Summary(), res.Summary())
-					}
-					// Every snapshot the resumed run writes must be
-					// byte-identical to the reference's corresponding one.
-					want := ref.snaps[i+1:]
-					if len(got.snaps) != len(want) {
-						t.Errorf("resume from snapshot %d: wrote %d snapshots, reference wrote %d",
-							i, len(got.snaps), len(want))
-						continue
-					}
-					for j := range want {
-						if string(ckpt.Encode(got.snaps[j])) != string(ckpt.Encode(want[j])) {
-							t.Errorf("resume from snapshot %d: snapshot %d differs from reference", i, j)
-						}
+				// Every snapshot the resumed run writes must be
+				// byte-identical to the reference's corresponding one.
+				want := ref.snaps[i+1:]
+				if len(got.snaps) != len(want) {
+					t.Errorf("resume from snapshot %d: wrote %d snapshots, reference wrote %d",
+						i, len(got.snaps), len(want))
+					continue
+				}
+				for j := range want {
+					if string(ckpt.Encode(got.snaps[j])) != string(ckpt.Encode(want[j])) {
+						t.Errorf("resume from snapshot %d: snapshot %d differs from reference", i, j)
 					}
 				}
-			})
-		}
+			}
+		})
 	}
-}
-
-func schedName(legacy bool) string {
-	if legacy {
-		return "legacy"
-	}
-	return "event"
 }
 
 func emuName(legacy bool) string {
@@ -332,11 +318,6 @@ func TestSnapshotConfigMismatchRefused(t *testing.T) {
 	if _, err := NewSimFromSnapshot(snap, other, maxInsts); err == nil {
 		t.Error("resume under a different config accepted")
 	}
-	badSched := cfg
-	badSched.LegacyScheduler = true
-	if _, err := NewSimFromSnapshot(snap, badSched, maxInsts); err == nil {
-		t.Error("resume under a different scheduler accepted")
-	}
 	badEmu := cfg
 	badEmu.LegacyEmulator = true
 	if _, err := NewSimFromSnapshot(snap, badEmu, maxInsts); err == nil {
@@ -381,7 +362,7 @@ func TestResumeRebuildsConfigState(t *testing.T) {
 				if s.plans != fresh.plans {
 					t.Errorf("snapshot %d: resumed plan table differs from a fresh Sim's", i)
 				}
-				if s.skipOK != fresh.skipOK || s.legacy != fresh.legacy || s.invOn != fresh.invOn ||
+				if s.skipOK != fresh.skipOK || s.invOn != fresh.invOn ||
 					s.wh.ovMin != fresh.wh.ovMin || cap(s.wh.bucket[0]) != cap(fresh.wh.bucket[0]) {
 					t.Errorf("snapshot %d: resumed Sim's gates or wheel differ from a fresh Sim's", i)
 				}

@@ -21,9 +21,6 @@ func (s *Sim) commit() (int, error) {
 		}
 		e.committed = true
 		s.window.PopFront()
-		if s.tracing {
-			s.trace("commit   #%d", e.seq)
-		}
 		if s.collecting {
 			doneC, dep := s.commitDone(e)
 			s.emit(telemetry.EvCommit, e.seq, -1, doneC, dep)
@@ -101,10 +98,8 @@ func (s *Sim) entryDone(e *entry) bool {
 // pipeline obligation for EvCommit: doneC is the cycle the last
 // obligation completed (the instruction was commit-ready from doneC
 // onward), dep the telemetry.CommitDep* class of that obligation. The
-// function is a pure read of entry state shared by both schedulers
-// (every field it touches is written by the shared memory/schedule
-// helpers or at scheduler sites whose cycles provably coincide), so the
-// cross-scheduler golden event-stream test covers it.
+// function is a pure read of entry state, and its class and cycle ride
+// on every EvCommit, so the golden event-stream fixtures pin it.
 //
 // Tie-breaking is deliberate: when a load's memory completion or a
 // branch's resolution lands on the same cycle as the final slice

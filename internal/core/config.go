@@ -17,7 +17,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"pok/internal/bitslice"
 	"pok/internal/cache"
@@ -109,16 +108,6 @@ type Config struct {
 	L1DLat        int // overrides the hierarchy's L1D hit latency
 	CachePorts    int // D$ ports (loads issued per cycle)
 
-	// LegacyScheduler selects the original O(window x slices) scan-based
-	// scheduling/memory loops instead of the event-driven ready-queue
-	// scheduler. The two are cycle-exact equivalents (enforced by
-	// TestEventSchedulerMatchesLegacy); the flag exists as a one-release
-	// escape hatch and to keep the differential test honest, and will be
-	// removed once the event-driven path has baked. It also disables
-	// quiet-cycle skipping, so the legacy run iterates every cycle the
-	// event-driven run may jump over.
-	LegacyScheduler bool
-
 	// LegacyEmulator feeds the timing model from the original
 	// switch-dispatch interpreter instead of the direct-threaded fast
 	// path. Both produce bit-identical DynInst streams (enforced by the
@@ -132,18 +121,13 @@ type Config struct {
 	// UseLocal replaces gshare with a two-level local-history predictor.
 	UseLocal bool
 
-	// Trace, when non-nil, receives a one-line record of every pipeline
-	// event (fetch, dispatch, slice execute, memory issue, resolve,
-	// commit) — the moral equivalent of sim-outorder's ptrace output.
-	Trace io.Writer
-
 	// Collector, when non-nil, receives the structured telemetry stream:
 	// one fixed-size event per pipeline occurrence plus a per-cycle
-	// occupancy sample (see internal/telemetry). Unlike Trace it is
-	// machine-readable, allocation-free on the standard Recorder, and its
-	// Summary is folded into Result.Telemetry when the run finishes. A
-	// nil Collector costs one cached-boolean branch per emission site, so
-	// the disabled path stays off the scheduler's hot path.
+	// occupancy sample (see internal/telemetry). It is allocation-free on
+	// the standard Recorder, and its Summary is folded into
+	// Result.Telemetry when the run finishes. A nil Collector costs one
+	// cached-boolean branch per emission site, so the disabled path stays
+	// off the scheduler's hot path.
 	Collector telemetry.Collector
 
 	// Oracle, when non-nil, receives every committed instruction's

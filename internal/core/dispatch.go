@@ -12,16 +12,6 @@ import (
 // Dispatch / rename
 // ---------------------------------------------------------------------------
 
-// iqOccupancy returns the number of window entries still holding an
-// issue-queue slot. The event-driven path maintains the count
-// incrementally; the legacy path recomputes it by scanning the window.
-func (s *Sim) iqOccupancy() int {
-	if s.legacy {
-		return s.iqOccupancyScan()
-	}
-	return s.iqCount
-}
-
 func (s *Sim) dispatch() {
 	for n := 0; n < s.cfg.FetchWidth && s.fetchBuf.Len() > 0; n++ {
 		e := s.fetchBuf.Front()
@@ -34,7 +24,7 @@ func (s *Sim) dispatch() {
 			}
 			return
 		}
-		if s.cfg.IssueQueueSize > 0 && s.iqOccupancy() >= s.cfg.IssueQueueSize {
+		if s.cfg.IssueQueueSize > 0 && s.iqCount >= s.cfg.IssueQueueSize {
 			if n == 0 {
 				s.res.StallIQFull++
 			}
@@ -52,9 +42,6 @@ func (s *Sim) dispatch() {
 		s.fetchBuf.PopFront()
 		e.dispatched = true
 		e.dispC = s.now
-		if s.tracing {
-			s.trace("dispatch #%d", e.seq)
-		}
 		if s.collecting {
 			s.emit(telemetry.EvDispatch, e.seq, -1, 0, 0)
 		}
@@ -65,9 +52,7 @@ func (s *Sim) dispatch() {
 				e.srcProd[i] = p
 			}
 		}
-		if !s.legacy {
-			s.registerConsumer(e)
-		}
+		s.registerConsumer(e)
 		if d := e.d.Dst; d != isa.RegZero {
 			if p := s.regProd[d]; p != nil {
 				e.prevDstProd, e.prevDstGen = p, p.gen
@@ -108,21 +93,19 @@ func (s *Sim) dispatch() {
 			e.resolveC = s.now
 		}
 		s.window.PushBack(e)
-		if !s.legacy {
-			s.iqCount++
-			// Seed the wakeup wheel with every slice whose inputs are
-			// already determined. The rest are enqueued by the producer
-			// event that resolves their last input, or, for a slice that
-			// waits on its predecessor, by that predecessor's issue.
-			for sl := 0; sl < e.nSlices; sl++ {
-				if e.unres[sl] == 0 && !e.chainBlocked(sl) {
-					s.enqueueCand(e, sl)
-				}
+		s.iqCount++
+		// Seed the wakeup wheel with every slice whose inputs are already
+		// determined. The rest are enqueued by the producer event that
+		// resolves their last input, or, for a slice that waits on its
+		// predecessor, by that predecessor's issue.
+		for sl := 0; sl < e.nSlices; sl++ {
+			if e.unres[sl] == 0 && !e.chainBlocked(sl) {
+				s.enqueueCand(e, sl)
 			}
-			// Likewise queue a memory op whose gate inputs are known.
-			if (e.isStore || e.isLoad && s.cfg.SumAddressed) && e.memUnres == 0 {
-				s.memInputsKnown(e)
-			}
+		}
+		// Likewise queue a memory op whose gate inputs are known.
+		if (e.isStore || e.isLoad && s.cfg.SumAddressed) && e.memUnres == 0 {
+			s.memInputsKnown(e)
 		}
 	}
 }

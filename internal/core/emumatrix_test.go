@@ -11,76 +11,48 @@ import (
 	"pok/internal/workload"
 )
 
-// The emulator half of the differential matrix: the direct-threaded
-// fast-path interpreter and the original switch-dispatch interpreter
-// must be interchangeable underneath either timing scheduler. Every cell
-// of {legacy, fast} emulator × {legacy, event} scheduler runs the same
-// program and the four Results are compared wholesale — any divergence
-// in the DynInst stream the emulator feeds the timing model would show
-// up as a differing counter.
+// The emulator differential: the direct-threaded fast-path interpreter
+// and the original switch-dispatch interpreter must be interchangeable
+// underneath the timing model. Both run the same program and the two
+// Results are compared wholesale — any divergence in the DynInst stream
+// the emulator feeds the timing model would show up as a differing
+// counter.
 
-// matrixCell identifies one emulator/scheduler combination.
-type matrixCell struct {
-	legacyEmu   bool
-	legacySched bool
-}
-
-func (c matrixCell) String() string {
-	e, s := "fast-emu", "event-sched"
-	if c.legacyEmu {
-		e = "legacy-emu"
-	}
-	if c.legacySched {
-		s = "legacy-sched"
-	}
-	return e + "/" + s
-}
-
-var matrixCells = []matrixCell{
-	{false, false}, {false, true}, {true, false}, {true, true},
-}
-
-// runMatrix executes every cell on a freshly built program and fails
-// unless all four agree — on the Result when the runs succeed, or on
-// the error text when the program wedges the machine (a deliberately
-// pathological repro bundle must wedge it identically in every cell).
+// runMatrix runs the program on both emulators, each on a freshly built
+// copy, and fails unless they agree — on the Result when the runs
+// succeed, or on the error text when the program wedges the machine (a
+// deliberately pathological repro bundle must wedge it identically on
+// both).
 func runMatrix(t *testing.T, name string, mk func() (*emu.Program, error),
 	ff uint64, cfg Config, maxInsts uint64) {
 	t.Helper()
-	var refRes *Result
-	var refErr error
-	for i, cell := range matrixCells {
+	var res [2]*Result
+	var errs [2]error
+	for i, legacy := range []bool{false, true} {
 		prog, err := mk()
 		if err != nil {
 			t.Fatal(err)
 		}
 		c := cfg
-		c.LegacyEmulator = cell.legacyEmu
-		c.LegacyScheduler = cell.legacySched
-		r, err := RunWarm(prog, c, ff, maxInsts)
-		if i == 0 {
-			refRes, refErr = r, err
-			continue
+		c.LegacyEmulator = legacy
+		res[i], errs[i] = RunWarm(prog, c, ff, maxInsts)
+	}
+	switch {
+	case (errs[0] == nil) != (errs[1] == nil):
+		t.Fatalf("%s: fast emulator error %v, legacy emulator error %v", name, errs[0], errs[1])
+	case errs[0] != nil:
+		if errs[0].Error() != errs[1].Error() {
+			t.Fatalf("%s: error mismatch\nfast:   %v\nlegacy: %v", name, errs[0], errs[1])
 		}
-		switch {
-		case (err == nil) != (refErr == nil):
-			t.Fatalf("%s: %v errored (%v) but %v did not (%v)",
-				name, cell, err, matrixCells[0], refErr)
-		case err != nil:
-			if err.Error() != refErr.Error() {
-				t.Fatalf("%s: error mismatch\n%v: %v\n%v: %v",
-					name, matrixCells[0], refErr, cell, err)
-			}
-		case *r != *refRes:
-			t.Errorf("%s: %v diverges from %v\nref:\n%s\ngot:\n%s",
-				name, cell, matrixCells[0], refRes.Summary(), r.Summary())
-		}
+	case *res[0] != *res[1]:
+		t.Errorf("%s: legacy emulator diverges from fast\nfast:\n%s\nlegacy:\n%s",
+			name, res[0].Summary(), res[1].Summary())
 	}
 }
 
 // TestEmulatorMatrixMatches sweeps every registered workload through the
-// full emulator × scheduler matrix on the base and slice-by-2 machines,
-// then replays both checked-in repro bundles through the same matrix.
+// emulator differential on the base and slice-by-2 machines, then
+// replays both checked-in repro bundles through it.
 // Short mode trims the budget so the race-detector smoke job stays fast.
 func TestEmulatorMatrixMatches(t *testing.T) {
 	insts := uint64(40_000)
@@ -90,7 +62,6 @@ func TestEmulatorMatrixMatches(t *testing.T) {
 	for _, bench := range workload.Names() {
 		w := workload.MustGet(bench)
 		for _, cfg := range []Config{BaseConfig(), BitSliced(2)} {
-			cfg := cfg
 			t.Run(fmt.Sprintf("%s/%s", bench, cfg.Name), func(t *testing.T) {
 				t.Parallel()
 				runMatrix(t, bench, func() (*emu.Program, error) {

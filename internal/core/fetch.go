@@ -106,11 +106,6 @@ func (s *Sim) fetch() error {
 		}
 		s.initEntry(e)
 		s.fetchBuf.PushBack(e)
-		if s.tracing {
-			// The disassembly is formatted only under tracing; an eager
-			// d.Inst.String() here once cost a quarter of the whole run.
-			s.trace("fetch    #%d pc=0x%x wp=%v %v", e.seq, d.PC, e.wp, d.Inst.String())
-		}
 		if s.collecting {
 			s.emit(telemetry.EvFetch, e.seq, -1, int64(d.PC), b2i(e.wp))
 		}
@@ -165,9 +160,6 @@ func (s *Sim) startWrongPath(branch *entry) {
 	s.wpFork = s.em.Fork(wrongPC)
 	s.wpStopped = false
 	s.haveLine = false
-	if s.tracing {
-		s.trace("wrongpath#%d begins at pc=0x%x", branch.seq, wrongPC)
-	}
 }
 
 // nextWrongPathInst steps the speculative fork. A decode fault, halt or
@@ -221,16 +213,11 @@ func (s *Sim) squashWrongPath() {
 		}
 		s.freeEntry(e)
 	}
-	if !s.legacy {
-		s.scrubMemDue()
-	}
+	s.scrubMemDue()
 	s.wpFork = nil
 	s.wpBranch = nil
 	s.wpStopped = false
 	s.haveLine = false
-	if s.tracing {
-		s.trace("wrongpath squashed at cycle %d", s.now)
-	}
 }
 
 // undoEntry reverses the dispatch-time side effects of a squashed entry.
@@ -248,7 +235,7 @@ func (s *Sim) undoEntry(e *entry) {
 		s.lsq.Remove(e.seq)
 	}
 	e.squashed = true
-	if !s.legacy && !e.execDone {
+	if !e.execDone {
 		s.iqCount--
 	}
 	// Older in-flight entries may still hold srcProd/consumer references to

@@ -1,9 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"strings"
 	"testing"
+
+	"pok/internal/telemetry"
 )
 
 // TestWindowFullBackpressure: with a tiny RUU, a long-latency instruction
@@ -206,18 +207,27 @@ loop:
 	}
 }
 
-// TestTraceOutput: the pipeline trace names every stage for a simple run.
+// TestTraceOutput: the pipeline trace pok-sim -trace prints, the
+// wavefront of a recorded run, marks fetch, dispatch, the issue of each
+// slice of the 2-sliced machine and commit in its instruction rows.
 func TestTraceOutput(t *testing.T) {
-	var buf bytes.Buffer
 	cfg := BitSliced(2)
-	cfg.Trace = &buf
+	rec := cfg.NewRecorder(0)
+	cfg.Collector = rec
 	if _, err := Run(chainProg(t, 3, 2), cfg, 0); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"fetch", "dispatch", "exec", "commit", "slice 1"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("trace missing %q:\n%s", want, out[:min(len(out), 600)])
+	out := telemetry.RenderTimeline(rec.Events(), telemetry.TimelineOptions{})
+	// Row cells start after the 26-column "#seq mark pc" prefix.
+	var cells strings.Builder
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "#") && len(line) > 26 {
+			cells.WriteString(line[26:])
+		}
+	}
+	for _, mark := range []string{"F", "D", "0", "1", "C"} {
+		if !strings.Contains(cells.String(), mark) {
+			t.Fatalf("trace rows missing mark %q:\n%s", mark, out[:min(len(out), 1200)])
 		}
 	}
 }

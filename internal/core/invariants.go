@@ -66,22 +66,18 @@ func (s *Sim) checkInvariants() error {
 		return s.violation("lsq-capacity", 0, "LSQ holds %d entries, capacity %d",
 			n, s.cfg.LSQSize)
 	}
-	if !s.legacy {
-		if scan := s.iqOccupancyScan(); scan != s.iqCount {
-			return s.violation("iq-count", 0, "incremental iqCount %d != recount %d",
-				s.iqCount, scan)
-		}
+	if scan := s.iqOccupancyScan(); scan != s.iqCount {
+		return s.violation("iq-count", 0, "incremental iqCount %d != recount %d",
+			s.iqCount, scan)
 	}
 
-	if !s.legacy {
-		for i, c := range s.memDue {
-			if i > 0 && c.seq <= s.memDue[i-1].seq {
-				return s.violation("mem-wakeup", c.seq, "memory due list out of order or duplicated after seq %d",
-					s.memDue[i-1].seq)
-			}
-			if c.gen == c.e.gen && !c.e.memQueued {
-				return s.violation("mem-wakeup", c.seq, "memory-due op is not marked memory-queued")
-			}
+	for i, c := range s.memDue {
+		if i > 0 && c.seq <= s.memDue[i-1].seq {
+			return s.violation("mem-wakeup", c.seq, "memory due list out of order or duplicated after seq %d",
+				s.memDue[i-1].seq)
+		}
+		if c.gen == c.e.gen && !c.e.memQueued {
+			return s.violation("mem-wakeup", c.seq, "memory-due op is not marked memory-queued")
 		}
 	}
 
@@ -148,32 +144,30 @@ func (s *Sim) checkInvariants() error {
 			}
 		}
 
-		// Exactly-once wakeup: under the event scheduler an unstarted
-		// slice-op holds a wheel or ready-set candidate only once every
-		// input it reads is determined (its speculative wake time is
-		// finite), and holds one as soon as its input count says so.
-		if !s.legacy {
-			for sl := 0; sl < e.nSlices; sl++ {
-				st := &e.slices[sl]
-				switch {
-				case st.started:
-				case st.queued:
-					want := s.depsAvail(e, sl, true)
-					if want >= inf {
-						return s.violation("wakeup", e.seq, "slice %d queued before its inputs are known", sl)
-					}
-					if got := e.wake(sl); got != want {
-						return s.violation("wakeup", e.seq, "slice %d queued with folded wake %d, depsAvail %d",
-							sl, got, want)
-					}
-				case e.unres[sl] == 0 && !e.chainBlocked(sl):
-					return s.violation("wakeup", e.seq, "slice %d has all inputs but was never queued", sl)
+		// Exactly-once wakeup: an unstarted slice-op holds a wheel or
+		// ready-set candidate only once every input it reads is
+		// determined (its speculative wake time is finite), and holds one
+		// as soon as its input count says so.
+		for sl := 0; sl < e.nSlices; sl++ {
+			st := &e.slices[sl]
+			switch {
+			case st.started:
+			case st.queued:
+				want := s.depsAvail(e, sl, true)
+				if want >= inf {
+					return s.violation("wakeup", e.seq, "slice %d queued before its inputs are known", sl)
 				}
+				if got := e.wake(sl); got != want {
+					return s.violation("wakeup", e.seq, "slice %d queued with folded wake %d, depsAvail %d",
+						sl, got, want)
+				}
+			case e.unres[sl] == 0 && !e.chainBlocked(sl):
+				return s.violation("wakeup", e.seq, "slice %d has all inputs but was never queued", sl)
 			}
-			if e.lsqInserted && !e.memQueued {
-				if err := s.checkMemWakeup(e); err != nil {
-					return err
-				}
+		}
+		if e.lsqInserted && !e.memQueued {
+			if err := s.checkMemWakeup(e); err != nil {
+				return err
 			}
 		}
 
@@ -239,4 +233,16 @@ func (s *Sim) checkMemWakeup(e *entry) error {
 		}
 	}
 	return nil
+}
+
+// iqOccupancyScan recounts the window entries still holding an
+// issue-queue slot, the cross-check for the incrementally kept iqCount.
+func (s *Sim) iqOccupancyScan() int {
+	n := 0
+	for i := 0; i < s.window.Len(); i++ {
+		if !s.window.At(i).execDone {
+			n++
+		}
+	}
+	return n
 }

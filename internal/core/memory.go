@@ -203,20 +203,6 @@ func (s *Sim) dataArrival(e *entry) int64 {
 	return t
 }
 
-// checkStoreData marks the store's LSQ entry data-ready once the data
-// operand's full value is available (the legacy scheduler's per-cycle
-// poll; the event path queues the store at its arrival instead).
-func (s *Sim) checkStoreData(e *entry) {
-	q := e.lsqEnt
-	if q == nil || q.DataReady {
-		return
-	}
-	if s.dataArrival(e) <= s.now {
-		q.DataReady = true
-		e.dataReadyC = s.now // commit attribution: when the data arrived
-	}
-}
-
 // finalizePendingLoad resolves a partial-tag access whose outcome needed
 // the full address, once address generation completes.
 func (s *Sim) finalizePendingLoad(e *entry) {
@@ -370,9 +356,6 @@ func (s *Sim) tryIssueLoad(e *entry) {
 		}
 		e.memPredDone = s.now + int64(s.cfg.L1DLat)
 		e.memActualDone += tlbLat
-		if s.tracing {
-			s.trace("mem      #%d partial-tag addr=0x%x kind=%v done=%d", e.seq, addr, kind, e.memActualDone)
-		}
 		if s.collecting {
 			s.emit(telemetry.EvPartialVerify, e.seq, -1, int64(kind), b2i(e.wayMispred))
 			s.emit(telemetry.EvMemIssue, e.seq, -1, e.memActualDone, 0)
@@ -384,9 +367,6 @@ func (s *Sim) tryIssueLoad(e *entry) {
 	lat, _ := s.hier.AccessData(addr)
 	e.memActualDone = s.now + int64(lat) + tlbLat
 	e.memPredDone = s.now + int64(s.cfg.L1DLat)
-	if s.tracing {
-		s.trace("mem      #%d conventional addr=0x%x done=%d", e.seq, addr, e.memActualDone)
-	}
 	if s.collecting {
 		s.emit(telemetry.EvMemIssue, e.seq, -1, e.memActualDone, 0)
 	}

@@ -149,8 +149,6 @@ func newPredictor(cfg *Config) *bpred.Predictor {
 func (s *Sim) finishInit() {
 	cfg := &s.cfg
 	s.lsq = lsq.New(cfg.LSQSize)
-	s.legacy = cfg.LegacyScheduler
-	s.tracing = cfg.Trace != nil
 	s.collecting = cfg.Collector != nil
 	s.oracleOn = cfg.Oracle != nil
 	s.invOn = cfg.Invariants != nil
@@ -159,18 +157,15 @@ func (s *Sim) finishInit() {
 	s.tel = cfg.Collector
 	buildPlans(cfg, &s.plans)
 	s.wh.ovMin = inf
-	if !s.legacy {
-		// Pre-back every wheel bucket with a small slice of one shared
-		// array: as simulated time wraps the ring, each bucket would
-		// otherwise pay its own first-append allocations.
-		backing := make([]cand, wheelHorizon*4)
-		for i := range s.wh.bucket {
-			s.wh.bucket[i] = backing[i*4 : i*4 : (i+1)*4]
-		}
+	// Pre-back every wheel bucket with a small slice of one shared array:
+	// as simulated time wraps the ring, each bucket would otherwise pay
+	// its own first-append allocations.
+	backing := make([]cand, wheelHorizon*4)
+	for i := range s.wh.bucket {
+		s.wh.bucket[i] = backing[i*4 : i*4 : (i+1)*4]
 	}
-	// Quiet-cycle skipping requires the event-driven scheduler (the legacy
-	// scan is the per-cycle reference) and no per-cycle observers: tracing,
-	// telemetry sampling and the invariant checker all want to see every
-	// cycle, and fault injection may retime decisions cycle by cycle.
-	s.skipOK = !s.legacy && !s.tracing && !s.collecting && !s.invOn && !s.injOn
+	// Quiet-cycle skipping requires no per-cycle observers: telemetry
+	// sampling and the invariant checker want to see every cycle, and
+	// fault injection may retime decisions cycle by cycle.
+	s.skipOK = !s.collecting && !s.invOn && !s.injOn
 }

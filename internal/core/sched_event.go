@@ -31,9 +31,9 @@ import (
 // when the last input resolves is exact and costs one max: the slice-op
 // is pushed once, sits in the wheel or the ready set (sliceState.queued)
 // until it issues or replays, and is never re-evaluated in between.
-// Ready candidates issue in (seq, slice) order, reproducing the select
-// priority of the legacy window scan cycle for cycle. Memory ops share
-// the wheel as memory candidates (see memory.go).
+// Ready candidates issue in (seq, slice) order: oldest first, the select
+// priority of a full-window scan. Memory ops share the wheel as memory
+// candidates (see memory.go).
 
 // schedWork counts the event scheduler's work for tests. It stays off
 // Result, so Result, telemetry and every digest over them are unchanged.
@@ -318,7 +318,7 @@ func (s *Sim) wakeConsumers(p *entry, j int) {
 
 // schedule merges the slice candidates memoryStage drained off the
 // wheel into the age-ordered ready set, then issues it in program order
-// under the same per-slice issue/FU limits as the legacy scan.
+// under the per-slice issue and FU limits.
 // Resource-starved candidates stay ready for the next cycle; replayed
 // ones are re-enqueued at their retryC.
 func (s *Sim) schedule() {
@@ -354,8 +354,7 @@ func (s *Sim) schedule() {
 	s.ready = r[:n]
 }
 
-// candLess is the select priority of the legacy window scan: program
-// order, then slice.
+// candLess is the select priority: program order, then slice.
 func candLess(a, b cand) bool {
 	return a.seq < b.seq || (a.seq == b.seq && a.sl < b.sl)
 }
@@ -443,9 +442,6 @@ func (s *Sim) tryIssueSlice(e *entry, sl int) bool {
 	}
 	markSliceIssued(e, sl, s.now)
 	s.work.issues++
-	if s.tracing {
-		s.trace("exec     #%d slice %d", e.seq, sl)
-	}
 	if s.collecting {
 		s.emit(telemetry.EvSliceIssue, e.seq, int8(sl), s.criticalProducer(e, sl), 0)
 	}
@@ -464,11 +460,9 @@ func (s *Sim) tryIssueSlice(e *entry, sl int) bool {
 }
 
 // tryIssueFull attempts to issue a full-width operation, reporting
-// whether the candidate was consumed (issued or replayed). Resource
-// selection and consumption mirror scheduleFullLegacy exactly; a ready
+// whether the candidate was consumed (issued or replayed). A ready
 // candidate consumes its unit before the actual-readiness verify, so a
-// replay wastes the unit just as the hardware (and the legacy scan)
-// would.
+// replay wastes the unit just as the hardware would.
 func (s *Sim) tryIssueFull(e *entry) bool {
 	fu := e.plan.fu
 	switch fu {
@@ -515,9 +509,6 @@ func (s *Sim) tryIssueFull(e *entry) bool {
 	s.work.issues++
 	e.execDone = true
 	s.iqCount--
-	if s.tracing {
-		s.trace("exec     #%d full (lat %d)", e.seq, e.fullLat)
-	}
 	if s.collecting {
 		s.emit(telemetry.EvSliceIssue, e.seq, 0, s.criticalProducer(e, 0), 1)
 	}

@@ -150,8 +150,8 @@ func replayCause(act int64) int64 {
 //
 // Ties between a register producer and the carry chain go to the carry
 // chain (the structural hazard is the binding constraint). The function
-// is a pure read of producer state shared by both schedulers, so the
-// cross-scheduler golden event-stream test covers it.
+// is a pure read of producer state, and its answer rides on every
+// EvSliceIssue, so the golden event-stream fixtures pin it.
 func (s *Sim) criticalProducer(e *entry, sl int) int64 {
 	bestT := int64(0)
 	bestSeq := int64(0)
@@ -284,9 +284,6 @@ func (s *Sim) resolveBranchAt(e *entry, c int64, early bool) {
 	}
 	e.resolved = true
 	e.resolveC = c
-	if s.tracing {
-		s.trace("resolve  #%d at %d early=%v mispred=%v", e.seq, c, early, e.mispred)
-	}
 	if s.collecting {
 		flags := int64(0)
 		if e.mispred {

@@ -124,7 +124,7 @@ type entry struct {
 	resolveC      int64
 	earlyResolved bool // mispredict exposed by a partial comparison
 
-	// Event-driven scheduler bookkeeping (idle under LegacyScheduler).
+	// Event-driven scheduler bookkeeping.
 	//
 	// gen is bumped every time the entry returns to the free pool, so
 	// stale wakeup-wheel candidates and consumer references carrying an
@@ -252,10 +252,7 @@ type Sim struct {
 
 	regProd [isa.NumRegs]*entry
 
-	// Event-driven scheduler state (see sched_event.go). legacy mirrors
-	// cfg.LegacyScheduler.
-	legacy     bool
-	tracing    bool // cfg.Trace != nil; gates trace formatting at call sites
+	// Event-driven scheduler state (see sched_event.go).
 	collecting bool // cfg.Collector != nil; gates telemetry emission
 	oracleOn   bool // cfg.Oracle != nil; gates commit-record construction
 	invOn      bool // cfg.Invariants != nil; gates the per-cycle checker
@@ -311,8 +308,8 @@ type Sim struct {
 	portsUsed int
 
 	// Quiet-cycle skipping (see skip.go). skipOK caches the gate: the
-	// event-driven scheduler without tracing/telemetry/invariant/injection
-	// observers may jump over provably-quiet cycles.
+	// scheduler without telemetry/invariant/injection observers may jump
+	// over provably-quiet cycles.
 	skipOK bool
 
 	// Architectural checkpointing (see ckpt.go). ckptEvery is the commit
@@ -548,14 +545,6 @@ func b2i(v bool) int64 {
 	return 0
 }
 
-// trace emits one pipeline-event line when tracing is enabled.
-func (s *Sim) trace(format string, args ...any) {
-	if s.cfg.Trace != nil {
-		fmt.Fprintf(s.cfg.Trace, "%8d  "+format+"\n",
-			append([]any{s.now}, args...)...)
-	}
-}
-
 func (s *Sim) drained() bool {
 	return s.traceDone && s.window.Len() == 0 && s.fetchBuf.Len() == 0
 }
@@ -566,27 +555,20 @@ func (s *Sim) cycle() (int, error) {
 	s.aluUsed = [8]int{}
 	s.issueUsed = [8]int{}
 	s.mulUsed, s.fpUsed, s.portsUsed = 0, 0, 0
-	if !s.legacy {
-		// Re-anchor the wheel at the cycle being simulated, whose bucket
-		// memoryStage drains first thing (commit pushes nothing). Every
-		// wakeup a later stage pushes lies at least one cycle ahead. After
-		// a quiet-cycle skip, every bucket between the old base and now
-		// is provably empty (the skip never jumps past the wheel's
-		// earliest wake).
-		s.wh.base = s.now
-	}
+	// Re-anchor the wheel at the cycle being simulated, whose bucket
+	// memoryStage drains first thing (commit pushes nothing). Every
+	// wakeup a later stage pushes lies at least one cycle ahead. After a
+	// quiet-cycle skip, every bucket between the old base and now is
+	// provably empty (the skip never jumps past the wheel's earliest
+	// wake).
+	s.wh.base = s.now
 
 	n, err := s.commit()
 	if err != nil {
 		return n, err
 	}
-	if s.legacy {
-		s.memoryStageLegacy()
-		s.scheduleLegacy()
-	} else {
-		s.memoryStage()
-		s.schedule()
-	}
+	s.memoryStage()
+	s.schedule()
 	s.dispatch()
 	if err := s.fetch(); err != nil {
 		return n, err
@@ -613,7 +595,7 @@ func (s *Sim) sampleCycle() {
 	s.tel.CycleSample(telemetry.CycleSample{
 		Cycle:  s.now,
 		Window: s.window.Len(),
-		IQ:     s.iqOccupancy(),
+		IQ:     s.iqCount,
 		LSQ:    s.lsq.Len(),
 		Issued: issued,
 		Ports:  s.portsUsed,

@@ -13,10 +13,10 @@ package core
 // during the jumped-over cycles are bulk-added, replicating the
 // first-matching-condition priority of fetch() and dispatch().
 //
-// The skip is gated (s.skipOK) on the event-driven scheduler with no
-// per-cycle observers, and the legacy scheduler never skips — so the
-// cross-scheduler equivalence tests compare a skipping run against a
-// cycle-by-cycle reference and require bit-identical Results.
+// The skip is gated (s.skipOK) on the absence of per-cycle observers.
+// TestSkipMatchesNoSkip compares skipping runs against runs with the
+// skip forced off and requires bit-identical Results; the golden
+// fixtures pin both.
 
 // nextCycle returns the cycle Run should simulate next: s.now+1, or a
 // later cycle when everything between is provably quiet. The jump is

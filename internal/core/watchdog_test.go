@@ -21,9 +21,11 @@ func (w *wedgeInjector) ForceAliasConflict(uint64) bool    { return false }
 func (w *wedgeInjector) MutateCommit(*CommitRecord)        {}
 
 // TestDeadlockWatchdog wedges one instruction forever and checks that
-// both schedulers abort with a structured *DeadlockError — identifiable
+// the machine aborts with a structured *DeadlockError — identifiable
 // via errors.Is(err, ErrDeadlock) — whose dump names the wedged pipeline
 // state, well before the instruction budget would have been reached.
+// The "legacy" cell feeds the core from the legacy emulator; the
+// "event" cell, named for the scheduler, from the fast one.
 func TestDeadlockWatchdog(t *testing.T) {
 	for _, legacy := range []bool{false, true} {
 		name := "event"
@@ -32,7 +34,7 @@ func TestDeadlockWatchdog(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			cfg := BitSliced(2)
-			cfg.LegacyScheduler = legacy
+			cfg.LegacyEmulator = legacy
 			cfg.Inject = &wedgeInjector{seq: 200}
 			cfg.Invariants = &InvariantConfig{DeadlockBudget: 1_500}
 			_, err := Run(mustProg(t, mispredictHeavy), cfg, 100_000)

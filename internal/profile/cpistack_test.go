@@ -13,7 +13,7 @@ import (
 // run is attributed to exactly one component, so the per-component
 // cycles sum to core.Result.Cycles exactly — not approximately — for
 // every baked-in workload, under the simple pipeline and both
-// bit-slice widths, on both schedulers. The companion contract is that
+// bit-slice widths, fed by either emulator. The companion contract is that
 // profiling is pure observation: a run with the Live collector
 // attached produces a Result bit-identical to the bare run's.
 
@@ -57,15 +57,16 @@ func runPlain(t *testing.T, bench string, cfg core.Config, insts uint64) *core.R
 }
 
 // TestCPIStackAccountsEveryCycle sweeps every workload x config x
-// scheduler and requires exact cycle conservation plus a bit-identical
-// Result with and without the profiler attached.
+// emulator (legacy=true feeds the core from the switch interpreter) and
+// requires exact cycle conservation plus a bit-identical Result with and
+// without the profiler attached.
 func TestCPIStackAccountsEveryCycle(t *testing.T) {
 	const insts = 10_000
 	for _, bench := range workload.Names() {
 		for _, base := range invariantConfigs() {
 			for _, legacy := range []bool{false, true} {
 				cfg := base
-				cfg.LegacyScheduler = legacy
+				cfg.LegacyEmulator = legacy
 				name := fmt.Sprintf("%s/%s/legacy=%v", bench, cfg.Name, legacy)
 				t.Run(name, func(t *testing.T) {
 					r, lc := runProfiled(t, bench, cfg, insts)

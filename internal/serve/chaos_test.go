@@ -164,7 +164,7 @@ func TestCoordinatorHammer(t *testing.T) {
 
 	id, err := coord.Submit(JobSpec{Kind: "soak", Soak: &SoakSpec{
 		BaseSeed: 41, Programs: 64, CellPrograms: 4,
-		Configs: []string{"slice2"}, Schedulers: []string{"event"},
+		Configs: []string{"slice2"},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -258,8 +258,7 @@ func TestChaosFleetEquivalence(t *testing.T) {
 	genOpts := gen.Options{Fragments: 6, LoopIters: 2, MaxInsts: 2000}
 	solo, err := soak.Run(soak.Options{
 		BaseSeed: 41, Programs: 3,
-		Configs: []string{"slice2"}, Schedulers: []string{"event"},
-		Hook: hook, NoReduce: true, Gen: genOpts,
+		Configs: []string{"slice2"}, Hook: hook, NoReduce: true, Gen: genOpts,
 		OutDir: t.TempDir(),
 	}, false)
 	if err != nil {
@@ -281,8 +280,7 @@ func TestChaosFleetEquivalence(t *testing.T) {
 
 	id, err := clean.Submit(JobSpec{Kind: "soak", Soak: &SoakSpec{
 		BaseSeed: 41, Programs: 3,
-		Configs: []string{"slice2"}, Schedulers: []string{"event"},
-		Hook: hook, NoReduce: true, Gen: genOpts,
+		Configs: []string{"slice2"}, Hook: hook, NoReduce: true, Gen: genOpts,
 		CellPrograms: 1,
 	}})
 	if err != nil {

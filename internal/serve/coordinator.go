@@ -746,7 +746,6 @@ func (c *Coordinator) Result(id string) (*JobResult, error) {
 			BaseSeed:    s.BaseSeed,
 			Programs:    s.Programs,
 			Configs:     s.Configs,
-			Schedulers:  s.Schedulers,
 			InjectSeeds: s.InjectSeeds,
 		}
 		for _, cl := range cells {

@@ -167,10 +167,10 @@ function renderJob(j, jm) {
   }
   if (j.feed && j.feed.length) {
     h += '<details><summary>' + j.feed.length + ' findings</summary><table>' +
-         '<tr><th>prog</th><th>cfg</th><th>sched</th><th>kind</th><th>detail</th></tr>';
+         '<tr><th>prog</th><th>cfg</th><th>kind</th><th>detail</th></tr>';
     for (const f of j.feed) {
-      h += '<tr><td>p' + f.program + '</td><td>' + esc(f.config) + '</td><td>' +
-           esc(f.scheduler) + '</td><td class="bad">' + esc(f.kind) +
+      h += '<tr><td>p' + f.program + '</td><td>' + esc(f.config) +
+           '</td><td class="bad">' + esc(f.kind) +
            (f.field ? '/' + esc(f.field) : '') + '</td><td class="muted">' +
            esc(f.detail || '') + '</td></tr>';
     }

@@ -116,7 +116,7 @@ func TestJournalReplayEquivalence(t *testing.T) {
 
 	id1, err := c.Submit(JobSpec{Kind: "soak", Soak: &SoakSpec{
 		BaseSeed: 41, Programs: 12, CellPrograms: 8,
-		Configs: []string{"slice2"}, Schedulers: []string{"event"},
+		Configs: []string{"slice2"},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -465,7 +465,7 @@ func TestIdempotentRPCs(t *testing.T) {
 
 	spec := JobSpec{Kind: "soak", SubmitKey: "sub-x", Soak: &SoakSpec{
 		BaseSeed: 41, Programs: 4, CellPrograms: 4,
-		Configs: []string{"slice2"}, Schedulers: []string{"event"},
+		Configs: []string{"slice2"},
 	}}
 	id1, err := c.Submit(spec)
 	if err != nil {

@@ -14,7 +14,6 @@ func instCkptJob(t *testing.T, c *Coordinator, programs int) string {
 		BaseSeed:     41,
 		Programs:     programs,
 		Configs:      []string{"slice2"},
-		Schedulers:   []string{"event"},
 		CellPrograms: programs,
 		InstCkpt:     500,
 	}})

@@ -65,7 +65,6 @@ type SoakSpec struct {
 	BaseSeed    uint64          `json:"base_seed"`
 	Programs    int             `json:"programs"`
 	Configs     []string        `json:"configs,omitempty"`
-	Schedulers  []string        `json:"schedulers,omitempty"`
 	InjectSeeds int             `json:"inject_seeds,omitempty"`
 	Inject      inject.Options  `json:"inject,omitempty"`
 	Hook        *inject.Options `json:"hook,omitempty"`
@@ -121,8 +120,8 @@ type JobResult struct {
 }
 
 // normalize applies the soak harness's coverage defaults so the merged
-// report echoes the same Configs/Schedulers a single-process run
-// records, and validates the spec.
+// report echoes the same Configs a single-process run records, and
+// validates the spec.
 func (s *JobSpec) normalize() error {
 	switch s.Kind {
 	case "soak":
@@ -147,17 +146,9 @@ func (s *SoakSpec) normalize() error {
 	if len(s.Configs) == 0 {
 		s.Configs = []string{"simple4", "slice2", "slice4"}
 	}
-	if len(s.Schedulers) == 0 {
-		s.Schedulers = []string{"event", "legacy"}
-	}
 	for _, name := range s.Configs {
 		if _, err := soak.ConfigByName(name); err != nil {
 			return err
-		}
-	}
-	for _, sched := range s.Schedulers {
-		if sched != "event" && sched != "legacy" {
-			return fmt.Errorf("serve: unknown scheduler %q (event, legacy)", sched)
 		}
 	}
 	return nil
@@ -200,7 +191,6 @@ func (s *SoakSpec) Options(outDir string) soak.Options {
 		BaseSeed:       s.BaseSeed,
 		Programs:       s.Programs,
 		Configs:        s.Configs,
-		Schedulers:     s.Schedulers,
 		InjectSeeds:    s.InjectSeeds,
 		Inject:         s.Inject,
 		Hook:           s.Hook,

@@ -29,7 +29,6 @@ func soakJob(t *testing.T, c *Coordinator, programs, cellPrograms int) string {
 		BaseSeed:     41,
 		Programs:     programs,
 		Configs:      []string{"slice2"},
-		Schedulers:   []string{"event"},
 		CellPrograms: cellPrograms,
 	}})
 	if err != nil {
@@ -41,8 +40,7 @@ func soakJob(t *testing.T, c *Coordinator, programs, cellPrograms int) string {
 func finding(program int) soak.Finding {
 	return soak.Finding{
 		Program: program, Seed: uint64(program) + 100,
-		Config: "slice2", Scheduler: "event",
-		Kind: "divergence", Field: "dstval", ReducedInsts: -1,
+		Config: "slice2", Kind: "divergence", Field: "dstval", ReducedInsts: -1,
 	}
 }
 
@@ -293,7 +291,6 @@ func TestSubmitValidation(t *testing.T) {
 		{Kind: "soak"},
 		{Kind: "soak", Soak: &SoakSpec{}},
 		{Kind: "soak", Soak: &SoakSpec{Programs: 5, Configs: []string{"nope"}}},
-		{Kind: "soak", Soak: &SoakSpec{Programs: 5, Schedulers: []string{"nope"}}},
 		{Kind: "bench"},
 		{Kind: "bench", Bench: &BenchSpec{}},
 		{Kind: "frobnicate"},
@@ -324,8 +321,7 @@ func TestHTTPFleetEquivalence(t *testing.T) {
 	// corruption, so the findings list is non-trivial.
 	solo, err := soak.Run(soak.Options{
 		BaseSeed: 41, Programs: 3,
-		Configs: []string{"slice2"}, Schedulers: []string{"event"},
-		Hook: hook, NoReduce: true, Gen: genOpts,
+		Configs: []string{"slice2"}, Hook: hook, NoReduce: true, Gen: genOpts,
 		OutDir: t.TempDir(),
 	}, false)
 	if err != nil {
@@ -342,8 +338,7 @@ func TestHTTPFleetEquivalence(t *testing.T) {
 
 	spec := JobSpec{Kind: "soak", Soak: &SoakSpec{
 		BaseSeed: 41, Programs: 3,
-		Configs: []string{"slice2"}, Schedulers: []string{"event"},
-		Hook: hook, NoReduce: true, Gen: genOpts,
+		Configs: []string{"slice2"}, Hook: hook, NoReduce: true, Gen: genOpts,
 		CellPrograms: 3, // one cell: the death must requeue, not reshard
 	}}
 	id, err := client.Submit(spec)

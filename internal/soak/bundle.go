@@ -17,15 +17,14 @@ import (
 // Bundle is the self-contained description of one minimized repro: the
 // repro.json half of a bundle directory (prog.s is the other half).
 // Everything needed to re-run the failure standalone is here — seed,
-// generator options, machine config, scheduler, injection options and
+// generator options, machine config, injection options and
 // the expected failure signature — plus a ready-made pok-check command
 // line.
 type Bundle struct {
-	Name      string      `json:"name"`
-	Seed      uint64      `json:"seed"`
-	Gen       gen.Options `json:"gen"`
-	Config    string      `json:"config"`
-	Scheduler string      `json:"scheduler"`
+	Name   string      `json:"name"`
+	Seed   uint64      `json:"seed"`
+	Gen    gen.Options `json:"gen"`
+	Config string      `json:"config"`
 	// Inject is nil for clean-config findings.
 	Inject *inject.Options `json:"inject,omitempty"`
 
@@ -66,7 +65,6 @@ func WriteBundle(outDir string, f *Finding, prog *gen.Program, minBody []string,
 		Seed:      f.Seed,
 		Gen:       prog.Opts,
 		Config:    f.Config,
-		Scheduler: f.Scheduler,
 		Inject:    injOpts,
 		Kind:      f.Kind,
 		Field:     f.Field,
@@ -93,8 +91,7 @@ func WriteBundle(outDir string, f *Finding, prog *gen.Program, minBody []string,
 // pokCheckCommand renders the standalone replay command for a bundle.
 func pokCheckCommand(f *Finding, injOpts *inject.Options, maxInsts uint64) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "go run ./cmd/pok-check -prog prog.s -config %s -scheduler %s",
-		f.Config, f.Scheduler)
+	fmt.Fprintf(&sb, "go run ./cmd/pok-check -prog prog.s -config %s", f.Config)
 	if maxInsts > 0 {
 		fmt.Fprintf(&sb, " -insts %d", maxInsts)
 	} else {
@@ -148,7 +145,6 @@ func ReplayBundle(dir string) (*Bundle, reduce.RunResult, error) {
 	if err != nil {
 		return nil, reduce.RunResult{}, err
 	}
-	cfg.LegacyScheduler = b.Scheduler == "legacy"
 	opts := checkOptionsFor(b)
 	res := reduce.CheckRunner(cfg, opts, 2*time.Minute)(src)
 	return b, res, nil

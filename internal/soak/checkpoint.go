@@ -27,8 +27,8 @@ type Checkpoint struct {
 	// NextCell / CellSnap extend the cursor to instruction granularity
 	// (Options.CkptInsts): when present, program NextProgram was
 	// interrupted mid-matrix — cells with flat index below NextCell
-	// (config-major, then scheduler, then injection seed) are already
-	// covered by Runs/Findings, and CellSnap is cell NextCell's latest
+	// (config-major, then injection seed) are already covered by
+	// Runs/Findings, and CellSnap is cell NextCell's latest
 	// architectural snapshot (ckpt.Encode bytes; base64 in the JSON).
 	// Program-boundary checkpoints omit both, so version 1 files stay
 	// readable in either direction.
@@ -39,7 +39,7 @@ type Checkpoint struct {
 const checkpointVersion = 1
 
 // optionsSig fingerprints every option that changes which (program,
-// config, scheduler, injection) cells the campaign covers. Output and
+// config, injection) cells the campaign covers. Output and
 // pacing knobs (OutDir, Watchdog, CheckpointEvery, Log, Duration,
 // Programs) are deliberately excluded: extending a time box or raising
 // the program target is a valid resume.
@@ -49,8 +49,8 @@ func optionsSig(o Options) string {
 	// pacing knob: checkpoint drains perturb run timing
 	// deterministically, so cycle-dependent finding details are
 	// reproducible only under the same cadence.
-	fmt.Fprintf(h, "%d|%v|%v|%d|%+v|%d|%+v|%+v|%d",
-		o.BaseSeed, o.Configs, o.Schedulers, o.InjectSeeds, o.Inject,
+	fmt.Fprintf(h, "%d|%v|%d|%+v|%d|%+v|%+v|%d",
+		o.BaseSeed, o.Configs, o.InjectSeeds, o.Inject,
 		o.MaxInsts, o.Gen, o.Hook, o.CkptInsts)
 	return fmt.Sprintf("%016x", h.Sum64())
 }

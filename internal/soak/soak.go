@@ -1,6 +1,6 @@
 // Package soak drives the random-program differential soak: generated
 // PISA programs (internal/gen) run through emulator-vs-core lockstep
-// verification (internal/check) across a machine-config × scheduler ×
+// verification (internal/check) across a machine-config ×
 // fault-injection-seed matrix, with per-run wall-clock watchdogs and
 // panic recovery — a generator or core panic is a *finding* attributed
 // to its seed, not a crash. Any divergence, invariant violation,
@@ -53,11 +53,9 @@ type Options struct {
 	// Configs names the machine configs to differentially execute
 	// (default: simple4, slice2, slice4).
 	Configs []string
-	// Schedulers selects "event", "legacy" or both (default both).
-	Schedulers []string
 	// InjectSeeds is the number of fault-injection campaigns per
-	// (program, config, scheduler) cell beyond the clean run (default
-	// 0: clean only).
+	// (program, config) cell beyond the clean run (default 0: clean
+	// only).
 	InjectSeeds int
 	// Inject carries the base injection rates; its Seed is overridden
 	// per campaign. The zero value with InjectSeeds > 0 gets default
@@ -106,8 +104,8 @@ type Options struct {
 	// 0 = off.
 	CkptInsts uint64
 	// StartCell resumes the campaign's first program mid-matrix: cells
-	// with flat index below StartCell (config-major, then scheduler,
-	// then injection seed) are skipped — they are already covered by the
+	// with flat index below StartCell (config-major, then injection
+	// seed) are skipped — they are already covered by the
 	// caller's carried-over Runs/Findings — and cell StartCell resumes
 	// from StartSnap when non-nil. The fleet worker fills these from a
 	// requeued assignment's resume cursor; file-checkpoint resume fills
@@ -156,9 +154,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if len(o.Configs) == 0 {
 		o.Configs = []string{"simple4", "slice2", "slice4"}
-	}
-	if len(o.Schedulers) == 0 {
-		o.Schedulers = []string{"event", "legacy"}
 	}
 	if o.Watchdog == 0 {
 		o.Watchdog = 30 * time.Second
@@ -213,14 +208,13 @@ func ConfigByName(name string) (core.Config, error) {
 }
 
 // Finding is one failure observed by the soak, attributed to the exact
-// (program seed, config, scheduler, injection seed) cell that produced
+// (program seed, config, injection seed) cell that produced
 // it. Field order and content are wall-clock-free so a findings report
 // is byte-identical across reruns of the same campaign.
 type Finding struct {
 	Program    int    `json:"program"`
 	Seed       uint64 `json:"seed"`
 	Config     string `json:"config"`
-	Scheduler  string `json:"scheduler"`
 	InjectSeed uint64 `json:"inject_seed,omitempty"`
 	Kind       string `json:"kind"`
 	Field      string `json:"field,omitempty"`
@@ -239,7 +233,6 @@ type Report struct {
 	BaseSeed    uint64    `json:"base_seed"`
 	Programs    int       `json:"programs"`
 	Configs     []string  `json:"configs"`
-	Schedulers  []string  `json:"schedulers"`
 	InjectSeeds int       `json:"inject_seeds"`
 	Runs        int       `json:"runs"`
 	Findings    []Finding `json:"findings"`
@@ -276,16 +269,9 @@ func Run(opts Options, resume bool) (*Report, error) {
 		}
 		cfgs[i] = c
 	}
-	for _, s := range opts.Schedulers {
-		if s != "event" && s != "legacy" {
-			return nil, fmt.Errorf("soak: unknown scheduler %q (event, legacy)", s)
-		}
-	}
-
 	rep := &Report{
 		BaseSeed:    opts.BaseSeed,
 		Configs:     opts.Configs,
-		Schedulers:  opts.Schedulers,
 		InjectSeeds: opts.InjectSeeds,
 	}
 	start := opts.StartProgram
@@ -385,44 +371,42 @@ func Run(opts Options, resume bool) (*Report, error) {
 		cellIdx := 0
 	cells:
 		for ci, cfg := range cfgs {
-			for _, sched := range opts.Schedulers {
-				for k := 0; k <= opts.InjectSeeds; k++ {
-					cell := cellIdx
-					cellIdx++
-					if cell < firstCell {
-						continue
-					}
-					var cellSnap *ckpt.Snapshot
-					if cell == firstCell {
-						cellSnap = resumeSnap
-					}
-					var injSeed uint64
-					var injOpts *inject.Options
-					if k > 0 {
-						injSeed = mixInject(seed, uint64(k))
-						campaign := opts.Inject
-						campaign.Seed = injSeed
-						injOpts = &campaign
-					} else if opts.Hook != nil {
-						hook := *opts.Hook
-						injOpts = &hook
-					}
-					f, stopped := runCell(opts, prog, idx, opts.Configs[ci], cfg, sched,
-						injSeed, injOpts, snap, cell, cellSnap, rep)
-					if stopped {
-						// The in-flight run drained at a checkpoint
-						// boundary; the mid-run cursor write already
-						// recorded (program, cell, snapshot), so the run
-						// is NOT counted here — the resume re-runs cell
-						// `cell` from the snapshot and counts it then.
-						cellStopped = true
-						break cells
-					}
-					rep.Runs++
-					if f != nil {
-						rep.Findings = append(rep.Findings, *f)
-						found++
-					}
+			for k := 0; k <= opts.InjectSeeds; k++ {
+				cell := cellIdx
+				cellIdx++
+				if cell < firstCell {
+					continue
+				}
+				var cellSnap *ckpt.Snapshot
+				if cell == firstCell {
+					cellSnap = resumeSnap
+				}
+				var injSeed uint64
+				var injOpts *inject.Options
+				if k > 0 {
+					injSeed = mixInject(seed, uint64(k))
+					campaign := opts.Inject
+					campaign.Seed = injSeed
+					injOpts = &campaign
+				} else if opts.Hook != nil {
+					hook := *opts.Hook
+					injOpts = &hook
+				}
+				f, stopped := runCell(opts, prog, idx, opts.Configs[ci], cfg,
+					injSeed, injOpts, snap, cell, cellSnap, rep)
+				if stopped {
+					// The in-flight run drained at a checkpoint
+					// boundary; the mid-run cursor write already
+					// recorded (program, cell, snapshot), so the run
+					// is NOT counted here — the resume re-runs cell
+					// `cell` from the snapshot and counts it then.
+					cellStopped = true
+					break cells
+				}
+				rep.Runs++
+				if f != nil {
+					rep.Findings = append(rep.Findings, *f)
+					found++
 				}
 			}
 		}
@@ -551,7 +535,7 @@ func (a *cellAttempt) Write(s *ckpt.Snapshot) error {
 	return nil
 }
 
-// runCell executes one (program, config, scheduler, inject) cell with
+// runCell executes one (program, config, inject) cell with
 // retries, classifies the outcome, and — on failure — reduces it and
 // writes a repro bundle. It returns (nil, false) on a clean run and
 // (nil, true) when the run was drain-stopped mid-flight (cursor already
@@ -559,9 +543,8 @@ func (a *cellAttempt) Write(s *ckpt.Snapshot) error {
 // detection run restarts from that snapshot instead of the program
 // start; retried (timed-out) attempts restart from the same snapshot.
 func runCell(opts Options, prog *gen.Program, idx int, cfgName string,
-	cfg core.Config, sched string, injSeed uint64, injOpts *inject.Options,
+	cfg core.Config, injSeed uint64, injOpts *inject.Options,
 	snap *metrics.Snapshot, cell int, resume *ckpt.Snapshot, rep *Report) (*Finding, bool) {
-	cfg.LegacyScheduler = sched == "legacy"
 	chkOpts := check.Options{
 		Benchmark: fmt.Sprintf("gen-p%d", idx),
 		MaxInsts:  opts.MaxInsts,
@@ -621,7 +604,6 @@ func runCell(opts Options, prog *gen.Program, idx int, cfgName string,
 		Program:      idx,
 		Seed:         prog.Seed,
 		Config:       cfgName,
-		Scheduler:    sched,
 		InjectSeed:   injSeed,
 		Kind:         res.Outcome.Kind,
 		Field:        res.Outcome.Field,
@@ -708,7 +690,7 @@ func logf(w io.Writer, format string, args ...any) {
 
 // bundleDirName names a finding's repro bundle deterministically.
 func bundleDirName(f *Finding) string {
-	name := fmt.Sprintf("p%04d-%s-%s", f.Program, f.Config, f.Scheduler)
+	name := fmt.Sprintf("p%04d-%s", f.Program, f.Config)
 	if f.InjectSeed != 0 {
 		name += fmt.Sprintf("-inj%x", f.InjectSeed)
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // small returns campaign options scaled down for unit-test speed: tiny
-// programs, one config, one scheduler, bounded reduction.
+// programs, one config, bounded reduction.
 func small(t *testing.T) Options {
 	t.Helper()
 	dir := t.TempDir()
@@ -19,7 +19,6 @@ func small(t *testing.T) Options {
 		BaseSeed:   41,
 		Programs:   3,
 		Configs:    []string{"slice2"},
-		Schedulers: []string{"event"},
 		OutDir:     dir,
 		Checkpoint: filepath.Join(dir, "cp.json"),
 		Gen: gen.Options{

@@ -84,9 +84,8 @@ const (
 
 // Commit dependence classes (EvCommit.Arg2): which pipeline obligation
 // of the committing instruction finished last. Computed by the core at
-// commit from shared producer state so both schedulers classify
-// identically; consumed by the CPI-stack builder to attribute
-// zero-commit gap cycles.
+// commit from producer state; consumed by the CPI-stack builder to
+// attribute zero-commit gap cycles.
 const (
 	// CommitDepNone: every obligation was satisfied as soon as the
 	// instruction dispatched (single-cycle op, operands ready).

@@ -13,8 +13,8 @@
 //     execution stage can be bit-sliced by 2 or 4, with the paper's five
 //     partial-operand techniques as independent toggles (internal/core);
 //     scheduling is event-driven (a wakeup wheel plus pooled window
-//     entries), with the original full-window scan preserved behind
-//     Config.LegacyScheduler and proven cycle-exact against it;
+//     entries), pinned cycle for cycle by golden Result and event-stream
+//     fixtures;
 //   - eleven synthetic stand-ins for the paper's SPECint benchmarks
 //     (internal/workload), each verified against a Go reference model;
 //   - drivers that regenerate every table and figure of the paper's

@@ -30,7 +30,7 @@ CHAOS="${CHAOS:-drop=0.08,dup=0.05,err=0.08,delay=0.15,maxdelay=40ms}"
 # -inst-ckpt must match between the solo reference and the fleet job:
 # checkpoint cadence is coverage-affecting (drain bubbles shift the
 # fault stream), so only same-cadence runs are byte-identical.
-SOAK_FLAGS=(-programs 6 -seed 7 -configs slice2 -scheduler event
+SOAK_FLAGS=(-programs 6 -seed 7 -configs slice2
             -fragments 6 -loop-iters 2 -gen-insts 2000 -corrupt 20
             -reduce-tests 64 -inst-ckpt 10 -q)
 

@@ -27,7 +27,7 @@ URL="http://127.0.0.1:$PORT"
 # reference and the fleet job MUST share it for the diff to hold. With
 # it armed, the killed worker's heartbeats carry a mid-program resume
 # cursor, so the requeue below exercises instruction-granular resume.
-SOAK_FLAGS=(-programs 6 -seed 7 -configs slice2 -scheduler event
+SOAK_FLAGS=(-programs 6 -seed 7 -configs slice2
             -fragments 6 -loop-iters 2 -gen-insts 2000 -corrupt 20
             -reduce-tests 64 -inst-ckpt 10 -q)
 
@@ -110,7 +110,7 @@ fi
 # carry no cycle attribution). Scrape /metrics while the fleet is live
 # and require the series the dashboard and Prometheus alerting depend
 # on.
-"$OUT/pok-soak" -programs 2 -seed 9 -configs slice2 -scheduler event \
+"$OUT/pok-soak" -programs 2 -seed 9 -configs slice2 \
   -fragments 6 -loop-iters 2 -gen-insts 2000 -reduce-tests 64 \
   -inst-ckpt 30 -q \
   -out "$OUT/clean" -submit "$URL" -cell-programs 1
