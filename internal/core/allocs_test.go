@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"pok/internal/workload"
+)
 
 // A quiet timing-core cycle — one in which no stage does any work — must
 // not allocate: the event-driven scheduler's whole point is that such
@@ -58,5 +62,40 @@ func TestQuietCycleZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("quiet cycle allocates %.1f objects/cycle, want 0", allocs)
+	}
+}
+
+// maxSampledAllocsPerInst bounds RunSampled's allocations per covered
+// instruction. The run below measures about 0.024 (some 2,000 objects,
+// nearly all set-up and detailed windows); copying a DynInst out per
+// warmed instruction costs about 2.
+const maxSampledAllocsPerInst = 0.05
+
+// TestRunSampledAllocsPerCoveredInst: RunSampled spends nearly all of
+// its covered instructions in functional warming, which hands each
+// instruction to the caches and the branch predictor through one reused
+// emu.DynInst, so what it allocates must not grow with the instructions
+// it warms.
+func TestRunSampledAllocsPerCoveredInst(t *testing.T) {
+	w := workload.MustGet("gzip")
+	prog, err := w.Program(w.DefaultScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const warmup, sampleLen, skipLen, nSamples = 20_000, 2_000, 20_000, 3
+	const covered = warmup + nSamples*(sampleLen+skipLen)
+	allocs := testing.AllocsPerRun(2, func() {
+		res, err := RunSampled(prog, BitSliced(4), warmup, sampleLen, skipLen, nSamples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Insts != nSamples*sampleLen {
+			t.Fatalf("sampled %d detailed instructions, want %d", res.Insts, nSamples*sampleLen)
+		}
+	})
+	perInst := allocs / covered
+	t.Logf("RunSampled: %.0f allocs per run, %.4f per covered instruction", allocs, perInst)
+	if perInst > maxSampledAllocsPerInst {
+		t.Errorf("RunSampled allocates %.4f objects per covered instruction, want <= %v", perInst, maxSampledAllocsPerInst)
 	}
 }

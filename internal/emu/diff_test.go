@@ -166,6 +166,54 @@ func FuzzEmuDiff(f *testing.F) {
 	})
 }
 
+// TestEmuDiffTextOverrun runs a program straight off the end of its
+// text segment, through zeroed memory (NOPs), into a syscall it stored
+// ahead of itself. Overruns inside the predecode window's slack and far
+// beyond it (through the fallback decode cache) must both give the
+// legacy interpreter's DynInst stream.
+func TestEmuDiffTextOverrun(t *testing.T) {
+	syscall, err := isa.Encode(isa.Inst{Op: isa.OpSYSCALL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gap := range []uint32{256, 20 << 10, 100 << 10} {
+		var text []byte
+		enc := func(in isa.Inst) {
+			w, err := isa.Encode(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			text = append(text, byte(w), byte(w>>8), byte(w>>16), byte(w>>24))
+		}
+		const textLen = 7 * 4
+		target := emu.DefaultTextBase + textLen + gap
+		t0, t1 := isa.RegT0, isa.RegT0+1
+		enc(isa.Inst{Op: isa.OpLUI, Rt: t0, Imm: int32(target >> 16)})
+		enc(isa.Inst{Op: isa.OpORI, Rt: t0, Rs: t0, Imm: int32(target & 0xffff)})
+		enc(isa.Inst{Op: isa.OpLUI, Rt: t1, Imm: int32(syscall >> 16)})
+		enc(isa.Inst{Op: isa.OpORI, Rt: t1, Rs: t1, Imm: int32(syscall & 0xffff)})
+		enc(isa.Inst{Op: isa.OpSW, Rt: t1, Rs: t0})
+		enc(isa.Inst{Op: isa.OpADDIU, Rt: isa.RegV0, Rs: isa.RegZero, Imm: emu.SysExit})
+		enc(isa.Inst{Op: isa.OpADDIU, Rt: isa.RegA0, Rs: isa.RegZero, Imm: 3})
+		if len(text) != textLen {
+			t.Fatalf("text is %d bytes, want %d", len(text), textLen)
+		}
+		prog := &emu.Program{
+			Entry:    emu.DefaultTextBase,
+			Segments: []emu.Segment{{Addr: emu.DefaultTextBase, Data: text}},
+		}
+		want := uint64(7 + gap/4 + 1)
+		diffEmulators(t, prog, want+10)
+
+		e := emu.New(prog)
+		n, err := e.Run(want+10, nil)
+		if err != nil || !e.Halted() || e.ExitCode() != 3 || n != want {
+			t.Fatalf("gap %d: Run = %d, %v (halted %v, exit %d); want %d instructions and exit 3",
+				gap, n, err, e.Halted(), e.ExitCode(), want)
+		}
+	}
+}
+
 // TestStepZeroAlloc is the allocation regression gate for the fast
 // path: a steady-state Step (ALU, memory and branch traffic) must not
 // allocate.

@@ -511,37 +511,27 @@ func (e *Emulator) print(s string) {
 // Run executes until the program halts or maxInsts instructions have
 // executed (0 means no limit), invoking visit for each instruction if
 // visit is non-nil. It returns the number of instructions executed.
+//
+// Every call of visit receives the same *DynInst, overwritten by the
+// next step: the record is valid only during the call, and a visitor
+// that keeps it must copy *d. Reusing one record keeps the loop
+// allocation-free however many instructions it runs.
 func (e *Emulator) Run(maxInsts uint64, visit func(*DynInst)) (uint64, error) {
 	start := e.icount
-	if visit == nil {
-		// Fast-forward path: reuse one record so the loop stays
-		// allocation-free (no caller can observe the discarded records).
-		var d DynInst
-		for !e.halted {
-			if maxInsts > 0 && e.icount-start >= maxInsts {
-				break
-			}
-			if err := e.StepInto(&d); err != nil {
-				if errors.Is(err, ErrHalted) {
-					break
-				}
-				return e.icount - start, err
-			}
-		}
-		return e.icount - start, nil
-	}
+	var d DynInst
 	for !e.halted {
 		if maxInsts > 0 && e.icount-start >= maxInsts {
 			break
 		}
-		d, err := e.Step()
-		if err != nil {
+		if err := e.StepInto(&d); err != nil {
 			if errors.Is(err, ErrHalted) {
 				break
 			}
 			return e.icount - start, err
 		}
-		visit(&d)
+		if visit != nil {
+			visit(&d)
+		}
 	}
 	return e.icount - start, nil
 }

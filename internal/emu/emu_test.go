@@ -61,8 +61,83 @@ func TestMemoryBytesAndCString(t *testing.T) {
 	if err != nil || s != "hello" {
 		t.Fatalf("ReadCString = %q, %v", s, err)
 	}
-	if got := string(m.ReadBlock(0x2006, 5)); got != "world" {
-		t.Fatalf("ReadBlock = %q", got)
+	var got []byte
+	for a := uint32(0x2006); a < 0x2006+5; a++ {
+		got = append(got, m.Read8(a))
+	}
+	if string(got) != "world" {
+		t.Fatalf("bytes at 0x2006 = %q, want %q", got, "world")
+	}
+}
+
+// TestWriteBlockMatchesByteWrites pins the page-chunked WriteBlock to
+// the byte-at-a-time loop it replaced: same bytes, same materialized
+// pages, same dirty flags, including pages that already existed clean.
+func TestWriteBlockMatchesByteWrites(t *testing.T) {
+	block := make([]byte, pageSize+137)
+	for i := range block {
+		block[i] = byte(i*7 + 1)
+	}
+	cases := []struct {
+		name string
+		addr uint32
+		data []byte
+	}{
+		{"three pages, unaligned", 0x3000 + pageSize - 37, block},
+		{"within one page", 0x5010, block[:64]},
+		{"zero length", 0x9000, nil},
+		{"wraps the address space", 0xffff_fff0, block[:40]},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got, want := NewMemory(), NewMemory()
+			for _, m := range []*Memory{got, want} {
+				// A clean page under the block's first byte: the write
+				// must dirty it again.
+				m.Write8(c.addr-1, 0xee)
+				m.clearDirty()
+			}
+			got.WriteBlock(c.addr, c.data)
+			for i, b := range c.data {
+				want.Write8(c.addr+uint32(i), b)
+			}
+			for i := -8; i < len(c.data)+8; i++ {
+				a := c.addr + uint32(i)
+				if g, w := got.Read8(a), want.Read8(a); g != w {
+					t.Fatalf("byte at %#x = %#x, want %#x", a, g, w)
+				}
+			}
+			if got.PageCount() != want.PageCount() {
+				t.Errorf("PageCount = %d, want %d", got.PageCount(), want.PageCount())
+			}
+			if got.DirtyPageCount() != want.DirtyPageCount() {
+				t.Errorf("DirtyPageCount = %d, want %d", got.DirtyPageCount(), want.DirtyPageCount())
+			}
+		})
+	}
+}
+
+// TestRunVisitorAllocs: Run hands every visit the same reused record,
+// so a visited run allocates a constant amount, not one record per
+// instruction.
+func TestRunVisitorAllocs(t *testing.T) {
+	prog := buildProg(t,
+		isa.Inst{Op: isa.OpADDIU, Rt: isa.RegT0, Rs: isa.RegT0, Imm: 1},
+		isa.Inst{Op: isa.OpSW, Rt: isa.RegT0, Rs: isa.RegGP, Imm: 0x40},
+		isa.Inst{Op: isa.OpBEQ, Rs: isa.RegZero, Rt: isa.RegZero, Imm: -3},
+	)
+	e := New(prog)
+	var sum uint32
+	visit := func(d *DynInst) { sum += d.DstVal }
+	for _, budget := range []uint64{100, 10_000} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if n, err := e.Run(budget, visit); err != nil || n != budget {
+				t.Fatalf("Run(%d) = %d, %v", budget, n, err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("Run(%d, visitor) allocates %.1f objects per call, want at most 1", budget, allocs)
+		}
 	}
 }
 

@@ -107,20 +107,17 @@ func (m *Memory) Write32(addr uint32, v uint32) {
 	m.Write16(addr+2, uint16(v>>16))
 }
 
-// WriteBlock copies data into memory starting at addr.
+// WriteBlock copies data into memory starting at addr, one page chunk
+// at a time. It materializes and dirties exactly the pages a Write8 per
+// byte would; a zero-length block touches nothing.
 func (m *Memory) WriteBlock(addr uint32, data []byte) {
-	for i, b := range data {
-		m.Write8(addr+uint32(i), b)
+	for len(data) > 0 {
+		p := m.page(addr, true)
+		p.dirty = true
+		n := copy(p.data[addr&pageMask:], data)
+		data = data[n:]
+		addr += uint32(n)
 	}
-}
-
-// ReadBlock copies n bytes starting at addr into a fresh slice.
-func (m *Memory) ReadBlock(addr uint32, n int) []byte {
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = m.Read8(addr + uint32(i))
-	}
-	return out
 }
 
 // ReadCString reads a NUL-terminated string at addr (capped at 1MB to

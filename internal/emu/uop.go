@@ -39,13 +39,19 @@ const (
 
 // Predecode-table sizing. The dense window is anchored at the text
 // segment holding the entry point and extended over every segment that
-// fits; denseSlack pads the end so straight-line overruns past the last
-// text byte (which decode as NOPs from zeroed memory) stay on the fast
-// path; denseMax caps the window so a program with far-apart segments
-// (text at 0x00400000, data at 0x10000000) does not allocate the span
-// between them.
+// fits; denseMax caps it so a program with far-apart segments (text at
+// 0x00400000, data at 0x10000000) does not allocate the span between
+// them. denseSlack pads the end by one page, enough for a short
+// straight-line overrun past the last text byte (zeroed memory decodes
+// as NOPs). A longer overrun leaves the window for the fallback cache
+// below, which decodes each PC at its first execution and keeps the
+// result as the window does, so the DynInst stream is the same; it
+// stops caching only past fallCacheMax distinct out-of-window PCs. The
+// slack stays small because every emulator, the oracle's included,
+// allocates its window up front, and generated programs are built, run
+// and discarded by the thousand.
 const (
-	denseSlack = 64 << 10
+	denseSlack = pageSize
 	denseMax   = 4 << 20
 	// fallCacheMax bounds the out-of-window decode cache. The legacy
 	// interpreter's map[uint32]isa.Inst grew without bound on wrong-path

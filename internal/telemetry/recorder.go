@@ -3,8 +3,9 @@ package telemetry
 import "pok/internal/stats"
 
 // Recorder is the standard Collector: a bounded event ring plus
-// per-cycle occupancy histograms and event-kind counters, all
-// preallocated so the steady-state Record path never allocates.
+// per-cycle occupancy histograms and event-kind counters. The histograms
+// and counters are sized at construction; the ring grows with the run up
+// to its cap, so recording allocates only while the ring doubles.
 type Recorder struct {
 	ring   *Ring
 	counts [numKinds]uint64

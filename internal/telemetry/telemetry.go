@@ -1,5 +1,5 @@
 // Package telemetry is the timing model's structured observability
-// layer: a zero-allocation, ring-buffered event stream plus per-cycle
+// layer: a bounded, ring-buffered event stream plus per-cycle
 // occupancy and stall-cause histograms.
 //
 // The timing core (internal/core) emits one fixed-size Event per
@@ -8,9 +8,9 @@
 // commit, squash — through the Collector interface. With a nil
 // Collector the instrumentation reduces to one predictable branch per
 // site, so the disabled path stays off the scheduler's hot path; with
-// the standard Recorder attached, events land in a preallocated ring
-// and per-cycle samples fold into fixed-size histograms, so steady
-// state allocates nothing.
+// the standard Recorder attached, events land in a bounded ring that
+// grows on demand up to its cap and per-cycle samples fold into
+// fixed-size histograms, so a run allocates only while its ring grows.
 //
 // The package also provides the offline halves of the pipeline:
 // JSONL export/import of event dumps (jsonl.go), an aggregated
